@@ -18,8 +18,10 @@ from .allocator import (
 )
 from .errors import (
     BoundaryStateError,
+    ConfinementError,
     CrossingStateError,
     DegenerateRedundancyError,
+    ExtremalSolveError,
     FiberAllocError,
     NoBracketError,
     NonGenericSegmentError,

@@ -12,13 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoBracketError, NonGenericSegmentError, OriginExcludedError
+from .errors import (
+    ConfinementError,
+    NonGenericSegmentError,
+    OriginExcludedError,
+    WrongShapeError,
+)
 from .fibers import crossing_parameters
 from .model import AllocationModel, Task, untransform
-from .potential import LAMBDA_CAP, SectionPoint, section_intersection
+from .potential import SectionPoint, extremal_section, section_intersection
 
 #: Relative min|v_i| margin below which a transitional inverse reports hinge proximity.
 HINGE_MARGIN = 1e-6
+#: Rows the batch extremal inverse solves at once.
+SOLVE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -31,7 +38,6 @@ class SectionInverseConfig:
 
     layer: int
     C: float = 0.0
-    lam_cap: float = LAMBDA_CAP
     hinge_margin: float = HINGE_MARGIN
 
 
@@ -53,7 +59,7 @@ class LiftedTrajectory:
     v: np.ndarray          # (N, n)
     speed: np.ndarray      # (N,) finite-difference ||dv/dt||, first entry 0
     min_abs_v: np.ndarray  # (N,)
-    signatures: tuple[str, ...]
+    masks: np.ndarray      # (N,) int64 orthant bitmask, bit i set when v_i > 0
 
     @property
     def max_speed(self) -> float:
@@ -61,83 +67,36 @@ class LiftedTrajectory:
 
     @property
     def signature_changes(self) -> int:
-        return sum(1 for a, b in zip(self.signatures, self.signatures[1:]) if a != b)
+        return int(np.count_nonzero(np.diff(self.masks)))
 
 
 def extremal_inverse(model: AllocationModel, w, C: float = 0.0,
-                     branch: str = "positive",
-                     lam_cap: float = LAMBDA_CAP) -> np.ndarray:
+                     branch: str = "positive") -> np.ndarray:
     """Singularity-free right-inverse on an extremal leaf.
 
     Returns the unique v with actuation(v) = w, Phi(v) = C, and
-    sign(v) = +/- sign(b) strictly; defined for every finite w including 0.
+    sign(v) = +/- sign(b) strictly; defined for every finite w including 0,
+    wherever that v is representable in float64.  This is the batch-of-one
+    case of :func:`extremal_inverse_batch`.
     """
-    trace = crossing_parameters(model, w)
-    segment = len(trace.distinct_crossings) if branch == "positive" else 0
-    if branch not in ("positive", "negative"):
-        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
-    sp = section_intersection(model, w, segment, C, lam_cap=lam_cap, trace=trace)
-    return sp.v
+    w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    return extremal_inverse_batch(model, w[None, :], C, branch)[0]
 
 
 def extremal_inverse_batch(model: AllocationModel, W, C: float = 0.0,
-                           branch: str = "positive",
-                           lam_cap: float = LAMBDA_CAP) -> np.ndarray:
-    """Vectorized extremal inverse for a batch of tasks (one row per task).
+                           branch: str = "positive") -> np.ndarray:
+    """Extremal inverse for a batch of tasks (one row per task).
 
-    Same semantics as :func:`extremal_inverse`; all samples are bracketed and
-    bisected in lockstep, which keeps dense trajectory lifts cheap.
+    Solves SOLVE_CHUNK_ROWS rows at a time (bounding the working memory) with
+    :func:`fiberalloc.potential.extremal_section`; a row it cannot solve
+    raises ExtremalSolveError naming the row index and its task.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    Z = W @ model.A_pinv.T
-    b = model.b
-    lam_star = -Z / b
-    if branch == "positive":
-        edge, direction = lam_star.max(axis=1), 1.0
-    elif branch == "negative":
-        edge, direction = lam_star.min(axis=1), -1.0
-    else:
-        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
-
-    def cw(lam):
-        u = Z + lam[:, None] * b
-        with np.errstate(divide="ignore"):
-            return 0.5 * np.sum(b * np.sign(u) * np.log(np.abs(u)), axis=1)
-
-    # near-edge bracket side: C_w diverges toward the edge opposite the sweep
-    step = np.ones(W.shape[0])
-    near = edge + direction * step
-    for _ in range(200):
-        val = cw(near)
-        bad = (val >= C) if direction > 0 else (val <= C)
-        bad |= ~np.isfinite(val)
-        if not bad.any():
-            break
-        step[bad] *= 0.5
-        near = edge + direction * step
-    else:
-        raise NoBracketError(C, lam_cap)
-    # far side: geometric expansion away from the edge
-    step = np.ones(W.shape[0])
-    far = edge + direction * step
-    while True:
-        val = cw(far)
-        bad = (val < C) if direction > 0 else (val > C)
-        if not bad.any():
-            break
-        step[bad] *= 2.0
-        far = edge + direction * step
-        if np.any(np.abs(far) > lam_cap):
-            raise NoBracketError(C, lam_cap)
-
-    lo, hi = (near, far) if direction > 0 else (far, near)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        below = cw(mid) < C
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    u = Z + (0.5 * (lo + hi))[:, None] * b
-    return untransform(u)
+    V = np.empty((W.shape[0], model.n))
+    for lo in range(0, W.shape[0], SOLVE_CHUNK_ROWS):
+        hi = lo + SOLVE_CHUNK_ROWS
+        V[lo:hi] = extremal_section(model, W[lo:hi], C, branch, first_row=lo)[0]
+    return V
 
 
 def section_inverse(model: AllocationModel, w,
@@ -163,8 +122,7 @@ def section_inverse(model: AllocationModel, w,
             f"fiber skips layer {config.layer} (merged crossings inhabit "
             f"layers {seg_layers})")
     segment = seg_layers.index(config.layer)
-    sp = section_intersection(model, w_arr, segment, config.C,
-                              lam_cap=config.lam_cap, trace=trace)
+    sp = section_intersection(model, w_arr, segment, config.C, trace=trace)
 
     report = None
     if transitional:
@@ -192,21 +150,25 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
                     branch: str = "positive") -> LiftedTrajectory:
     """Lift a sampled task trajectory through one allocator, per sample.
 
-    ``allocator`` is one of 'extremal', 'section', or 'naive'.  Allocator
-    errors propagate annotated with the failing sample index.
+    ``allocator`` is one of 'extremal', 'section', or 'naive'; ``w_samples``
+    holds one task row per time stamp.  Allocator errors name the failing
+    sample index.  An extremal lift that leaves its orthant raises
+    ConfinementError.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))
-    if w_samples.shape[0] != t.shape[0]:
-        w_samples = w_samples.T
+    if w_samples.shape != (t.shape[0], model.m):
+        raise WrongShapeError(f"w_samples has shape {w_samples.shape}, t has "
+                              f"shape {t.shape}: expected {(t.shape[0], model.m)}")
+    if model.n > 64:
+        raise ValueError("orthant bitmasks hold at most 64 actuators")
     if np.any(np.diff(t) <= 0):
         raise ValueError("time stamps must be strictly increasing")
     if config is None:
         config = SectionInverseConfig(layer=model.n)
 
     if allocator == "extremal":
-        vs = extremal_inverse_batch(model, w_samples, config.C, branch=branch,
-                                    lam_cap=config.lam_cap)
+        vs = extremal_inverse_batch(model, w_samples, config.C, branch=branch)
     elif allocator == "naive":
         vs = untransform(w_samples @ model.A_pinv.T)
     elif allocator == "section":
@@ -223,15 +185,14 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
 
     speed = np.zeros(t.shape[0])
     speed[1:] = np.linalg.norm(np.diff(vs, axis=0), axis=1) / np.diff(t)
-    sigs = tuple(
-        "(" + ",".join("+" if x > 0 else "-" for x in row) + ")" for row in vs)
-    lifted = LiftedTrajectory(
+    masks = (vs > 0) @ (1 << np.arange(model.n, dtype=np.int64))
+    if allocator == "extremal":
+        changed = np.flatnonzero(np.diff(masks))
+        if changed.size:
+            raise ConfinementError(int(changed[0]) + 1)
+    return LiftedTrajectory(
         allocator=allocator, t=t, w=w_samples, v=vs, speed=speed,
-        min_abs_v=np.min(np.abs(vs), axis=1), signatures=sigs)
-    if allocator == "extremal" and lifted.signature_changes:
-        raise AssertionError(
-            "extremal lift changed orthant signature; confinement violated")
-    return lifted
+        min_abs_v=np.min(np.abs(vs), axis=1), masks=masks)
 
 
 def smoothness_probe(model: AllocationModel, w0, direction, C: float,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,10 @@ from .allocator import (
 )
 from .errors import (
     BoundaryStateError,
+    ConfinementError,
     CrossingStateError,
     DegenerateRedundancyError,
+    ExtremalSolveError,
     FiberAllocError,
     NoBracketError,
     NonGenericSegmentError,
@@ -47,25 +50,57 @@ from .strata import (
 )
 
 SELF_CHECK_TOL = 1e-8
+#: Lift rows formatted per write; bounds the memory the CSV text takes.
+CSV_CHUNK_ROWS = 4096
 
 _VALIDATION_ERRORS = (WrongShapeError, RankDeficientError,
                       DegenerateRedundancyError, ValueError)
 _SOLVER_ERRORS = (NoBracketError, NonGenericSegmentError, OriginExcludedError,
-                  CrossingStateError, BoundaryStateError)
+                  CrossingStateError, BoundaryStateError, ExtremalSolveError,
+                  ConfinementError)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows, seed) -> None:
+@contextmanager
+def _csv_file(path: Path, header: list[str], seed):
+    """Open a CSV output and write its comment line and header row."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# fiberalloc {__version__} seed={seed}\n")
+        csv.writer(fh).writerow(header)
+        yield fh
+
+
+def _write_csv(path: Path, header: list[str], rows, seed) -> None:
+    with _csv_file(path, header, seed) as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+
+
+def _signature_label(mask: int, n: int) -> str:
+    """Orthant signature text, e.g. "(+,-,+)", of a bitmask (bit i: v_i > 0)."""
+    return "(" + ",".join("+" if mask >> i & 1 else "-" for i in range(n)) + ")"
+
+
+def _write_lift_csv(path: Path, header: list[str], values: np.ndarray,
+                    masks: np.ndarray, n: int, seed) -> None:
+    """Float rows plus a quoted n-actuator signature column, as _write_csv writes them.
+
+    Rows are formatted a chunk at a time with one %-format each, and every
+    distinct mask is turned into its label once.
+    """
+    fmt = ",".join(["%.17g"] * values.shape[1]) + ',"%s"\r\n'
+    label = {k: _signature_label(k, n) for k in np.unique(masks).tolist()}
+    with _csv_file(path, header, seed) as fh:
+        for lo in range(0, len(values), CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            fh.write("".join(
+                fmt % (*row, label[k])
+                for row, k in zip(values[lo:hi].tolist(), masks[lo:hi].tolist())))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -195,10 +230,11 @@ def cmd_invert(args) -> int:
 def cmd_lift(args) -> int:
     model = load_model(args.model)
     out = Path(args.out)
-    with open(args.trajectory, newline="") as fh:
-        reader = csv.reader(r for r in fh if not r.startswith("#"))
-        header = next(reader)
-        data = np.array([[float(x) for x in row] for row in reader])
+    with open(args.trajectory) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break   # the header row
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     t, w_samples = data[:, 0], data[:, 1:]
 
     config = SectionInverseConfig(layer=args.layer if args.layer is not None
@@ -206,12 +242,11 @@ def cmd_lift(args) -> int:
     lifted = lift_trajectory(model, t, w_samples, args.allocator,
                              config=config, branch=args.branch)
 
-    rows = ([float(t[k]), *map(float, lifted.v[k]), float(lifted.speed[k]),
-             float(lifted.min_abs_v[k]), lifted.signatures[k]]
-            for k in range(len(t)))
     header = ["t"] + [f"v_{i+1}" for i in range(model.n)] + \
         ["speed", "min_abs_v", "signature"]
-    _write_csv(out / f"lift_{args.allocator}.csv", header, rows, args.seed)
+    values = np.column_stack([t, lifted.v, lifted.speed, lifted.min_abs_v])
+    _write_lift_csv(out / f"lift_{args.allocator}.csv", header, values,
+                    lifted.masks, model.n, args.seed)
     summary = {
         "allocator": args.allocator,
         "samples": len(t),

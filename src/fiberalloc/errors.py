@@ -6,7 +6,7 @@ class FiberAllocError(Exception):
 
 
 class WrongShapeError(FiberAllocError):
-    """Allocation matrix is not m x (m+1)."""
+    """An input array has the wrong shape (e.g. a matrix that is not m x (m+1))."""
 
 
 class RankDeficientError(FiberAllocError):
@@ -36,14 +36,35 @@ class CrossingStateError(FiberAllocError):
 
 
 class NoBracketError(FiberAllocError):
-    """Monotone solver could not bracket the target level below the parameter cap."""
+    """Monotone solver could not bracket the target level on a bounded segment."""
 
-    def __init__(self, target: float, cap: float):
+    def __init__(self, target: float):
         self.target = target
-        self.cap = cap
+        super().__init__(f"potential level {target:g} not bracketed")
+
+
+class ExtremalSolveError(FiberAllocError):
+    """An extremal-leaf solve failed for one task row.
+
+    Raised when the row's Newton iteration hits its cap, or when the rebuilt
+    state has a zero, subnormal or non-finite component (the leaf point lies
+    outside the float64 range).  Carries the row index in ``row`` and its task in ``w``.
+    """
+
+    def __init__(self, row: int, w, reason: str):
+        self.row = row
+        self.w = w
+        super().__init__(f"extremal solve failed at row {row} (w = {w}): {reason}")
+
+
+class ConfinementError(FiberAllocError):
+    """An extremal lift left its orthant; carries the first sample in ``sample``."""
+
+    def __init__(self, sample: int):
+        self.sample = sample
         super().__init__(
-            f"potential level {target:g} not bracketed below parameter cap {cap:g}"
-        )
+            f"extremal lift changed orthant signature at sample {sample}; "
+            "confinement violated")
 
 
 class NonGenericSegmentError(FiberAllocError):

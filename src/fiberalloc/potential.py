@@ -4,8 +4,14 @@ monotone section-intersection solving.
 The potential Phi(v) = sum_i b_i sign(v_i) ln|v_i| is constant on the leaves
 of the foliation orthogonal to the fibers.  Along a fiber it is strictly
 increasing in lambda on every open segment, diverging to -inf at the segment's
-entry crossing and +inf at its exit, which makes bracketed bisection globally
-convergent for the section solve.
+entry crossing and +inf at its exit, so bounded segments are solved by
+bracketed bisection.  On the positive extremal segment, lambda = lambda_max +
+e^s and a_i = lambda_max - lambda*_i >= 0 make C_w a sum of softplus terms,
+C_w(s) = K + 1/2 sum_i |b_i| logaddexp(ln a_i, s) with K = 1/2 sum_i |b_i|
+ln|b_i|, increasing and convex in s.  Newton from s0 = (C - K) / (1/2 ||b||_1)
+descends monotonically onto the root, and v_i = sign(b_i) sqrt|b_i|
+exp(1/2 logaddexp(ln a_i, s)) is rebuilt from the logs, with no cap on lambda.
+The negative extremal segment is the mirror image (C -> -C, v -> -v).
 """
 from __future__ import annotations
 
@@ -17,17 +23,22 @@ import numpy as np
 from .errors import (
     BoundaryStateError,
     CrossingStateError,
+    ExtremalSolveError,
     NoBracketError,
     NonGenericSegmentError,
 )
 from .fibers import FiberTrace, crossing_parameters, fiber_point
-from .model import AllocationModel, Task, untransform
-from .strata import OrthantSignature, classify_orthant
+from .model import AllocationModel, Task
+from .strata import OrthantSignature, classify_orthant, extremal_signature
 
-#: Default lambda cap for bracket expansion on unbounded segments.
-LAMBDA_CAP = 1e12
 #: Bisection terminates at this width relative to the initial bracket.
 BISECT_RTOL = 1e-12
+#: Newton steps allowed per row of the extremal solve (a handful suffice).
+NEWTON_MAX_ITER = 64
+EPS = np.finfo(float).eps
+#: An extremal offset a_i is zero below CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|
+#: plus the row's largest such bound: 32 times the rounding bound of lambda*.
+CROSSING_RTOL = 32 * EPS
 
 
 @dataclass(frozen=True)
@@ -158,20 +169,85 @@ def fiber_segments(model: AllocationModel, trace: FiberTrace):
     return bounds
 
 
+def extremal_section(model: AllocationModel, W, C: float,
+                     branch: str = "positive",
+                     first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Solve C_w = C on the unbounded extremal segment, one task per row of W.
+
+    Returns ``(V, lam)``: per row the state with sign(v) = +/- sign(b)
+    strictly, and its fiber parameter, from the log-offset Newton iteration of
+    the module docstring.  Raises ExtremalSolveError for the first row that
+    needs over NEWTON_MAX_ITER steps or whose state has a zero, subnormal or
+    non-finite component, naming it as row ``first_row`` + its index in W.
+    """
+    if branch not in ("positive", "negative"):
+        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
+    if not math.isfinite(C):
+        raise ValueError("target potential level must be finite")
+    sign = 1.0 if branch == "positive" else -1.0
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    # the negative branch of (w, C) mirrors the positive branch of (-w, -C)
+    lam_star = -sign * _rowwise_matvec(W, model.A_pinv) / model.b
+    edge = lam_star.max(axis=1, keepdims=True)
+    a = edge - lam_star
+    # offsets within rounding noise carry no information about w; kept, they
+    # inflate lost components and can push the edge one below float64 range
+    noise = (CROSSING_RTOL * W.shape[1]
+             * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))
+    a[a <= noise + noise.max(axis=1, keepdims=True)] = 0.0
+    half_b = 0.5 * np.abs(model.b)
+    offset = half_b @ np.log(np.abs(model.b)) - sign * C   # K - C
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_a = np.log(a)
+        s = np.full(W.shape[0], -offset / half_b.sum())
+        active = np.arange(W.shape[0])
+        for _ in range(NEWTON_MAX_ITER):
+            if active.size == 0:
+                break
+            s_act = s[active]
+            L = np.logaddexp(log_a[active], s_act[:, None])
+            F = _rowwise_matvec(L, half_b[None, :])[:, 0] + offset
+            step = F / _rowwise_matvec(np.exp(s_act[:, None] - L),
+                                       half_b[None, :])[:, 0]
+            s[active] = s_act - step
+            done = ((F <= 0.0) | ~np.isfinite(F)
+                    | (np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(s_act))))
+            active = active[~done]
+        if active.size:
+            raise ExtremalSolveError(first_row + int(active[0]), W[active[0]],
+                                     f"no convergence in {NEWTON_MAX_ITER} Newton steps")
+        V = sign * model.c * np.exp(0.5 * np.logaddexp(log_a, s[:, None]))
+        lam = sign * (edge[:, 0] + np.exp(s))
+    bad = ~np.all(np.isfinite(V) & (np.abs(V) >= np.finfo(float).tiny), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ExtremalSolveError(
+            first_row + k, W[k], "the state has a zero, subnormal or non-finite "
+            "component (the leaf point lies outside the float64 range)")
+    return V, lam
+
+
+def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Rows of W @ M.T summed in a fixed order, so that a row's result is
+    bit-identical in every batch (a batch of one included)."""
+    out = W[:, :1] * M[:, 0]
+    for j in range(1, W.shape[1]):
+        out += W[:, j:j + 1] * M[:, j]
+    return out
+
+
 def section_intersection(model: AllocationModel, w, segment: int, C: float,
-                         lam_cap: float = LAMBDA_CAP,
                          trace: FiberTrace | None = None) -> SectionPoint:
     """Solve C_w(lambda) = C on one open fiber segment.
 
     ``segment`` indexes the sorted open intervals between distinct crossings,
     0 through k (k = number of distinct crossings); for a generic fiber
-    segment l lies in a layer-l orthant.  Bounded segments admit every real C;
-    on the unbounded end segments the bracket is expanded geometrically up to
-    ``lam_cap``.
+    segment l lies in a layer-l orthant.  Every segment admits every real C.
+    The unbounded end segments are solved by :func:`extremal_section`.
 
-    The root is isolated by bisection to relative width 1e-12, then polished
-    with a few Newton steps using the analytic slope, rejecting any step that
-    leaves the bracket.
+    On a bounded segment the root is isolated by bisection to relative width
+    1e-12, then polished with a few Newton steps using the analytic slope,
+    rejecting any step that leaves the bracket.
     """
     w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
     if not math.isfinite(C):
@@ -183,6 +259,12 @@ def section_intersection(model: AllocationModel, w, segment: int, C: float,
         raise NonGenericSegmentError(
             f"segment {segment} out of range: fiber has {len(segs)} segments "
             f"({trace.skipped_orthants} orthants skipped by merged crossings)")
+    if segment in (0, len(segs) - 1):
+        branch = "positive" if segment else "negative"
+        V, lam = extremal_section(model, w[None, :], C, branch)
+        sig = extremal_signature(model, branch)
+        return SectionPoint(v=V[0], lam=float(lam[0]), C=C, orthant=sig,
+                            layer=sig.layer)
     lo, hi = segs[segment]
 
     def cw(lam):
@@ -191,36 +273,18 @@ def section_intersection(model: AllocationModel, w, segment: int, C: float,
     # Establish a bracket [a, b] with cw(a) <= C <= cw(b).  When the root sits
     # closer to a crossing than float64 can resolve in lambda, the bracketing
     # helpers raise and the split closed form at that crossing takes over.
-    if math.isinf(lo) and math.isinf(hi):  # cannot happen: n >= 2 crossings... keep guard
-        raise NonGenericSegmentError("degenerate unbounded segment")
-    last = len(trace.distinct_crossings) - 1
-    if math.isinf(hi):
-        try:
-            a = _approach(cw, lo, +1, C, want_below=True, cap=lam_cap)
-        except NoBracketError:
-            return _split_edge_solution(model, trace, last, "above", C, lam_cap)
-        b = _expand(cw, lo, +1, C, cap=lam_cap)
-    elif math.isinf(lo):
-        try:
-            b = _approach(cw, hi, -1, C, want_below=False, cap=lam_cap)
-        except NoBracketError:
-            return _split_edge_solution(model, trace, 0, "below", C, lam_cap)
-        a = _expand(cw, hi, -1, C, cap=lam_cap)
-    else:
-        width = hi - lo
-        if width <= 4.0 * np.finfo(float).eps * (abs(lo) + abs(hi) + 1.0):
-            raise NonGenericSegmentError(
-                f"segment {segment} has zero width (merged crossings)")
-        try:
-            a = _approach_inside(cw, lo, hi, C, from_left=True)
-        except NoBracketError:
-            return _split_edge_solution(model, trace, segment - 1, "above", C,
-                                        lam_cap)
-        try:
-            b = _approach_inside(cw, lo, hi, C, from_left=False)
-        except NoBracketError:
-            return _split_edge_solution(model, trace, segment, "below", C,
-                                        lam_cap)
+    width = hi - lo
+    if width <= 4.0 * EPS * (abs(lo) + abs(hi) + 1.0):
+        raise NonGenericSegmentError(
+            f"segment {segment} has zero width (merged crossings)")
+    try:
+        a = _approach_inside(cw, lo, hi, C, from_left=True)
+    except NoBracketError:
+        return _split_edge_solution(model, trace, segment - 1, "above", C)
+    try:
+        b = _approach_inside(cw, lo, hi, C, from_left=False)
+    except NoBracketError:
+        return _split_edge_solution(model, trace, segment, "below", C)
 
     lam = _bisect_polish(model, w, cw, a, b, C)
     # near a crossing the lambda granularity floors the residual; if the
@@ -234,7 +298,7 @@ def section_intersection(model: AllocationModel, w, segment: int, C: float,
         if dists[ci] <= 1e-6 * (1.0 + abs(lam_star)):
             side = "above" if lam >= lam_star else "below"
             try:
-                return _split_edge_solution(model, trace, ci, side, C, lam_cap)
+                return _split_edge_solution(model, trace, ci, side, C)
             except NoBracketError:
                 pass
     p = fiber_point(model, w, lam)
@@ -242,8 +306,7 @@ def section_intersection(model: AllocationModel, w, segment: int, C: float,
     return SectionPoint(v=p.v, lam=lam, C=C, orthant=sig, layer=sig.layer)
 
 
-def _split_edge_solution(model, trace, crossing_index, side, C,
-                         lam_cap) -> SectionPoint:
+def _split_edge_solution(model, trace, crossing_index, side, C) -> SectionPoint:
     """Closed-form root when it lies unresolvably close to a crossing.
 
     On the segment side where C_w diverges, the vanishing components are
@@ -273,7 +336,7 @@ def _split_edge_solution(model, trace, crossing_index, side, C,
         delta = math.exp(min(log_delta, 700.0))
         if delta > 1e-8 * (1.0 + abs(lam_star)):
             # the root is representable in lambda; bracketing should have found it
-            raise NoBracketError(C, lam_cap)
+            raise NoBracketError(C)
     v = np.empty(model.n)
     for i in range(model.n):
         if i in idx:
@@ -286,31 +349,6 @@ def _split_edge_solution(model, trace, crossing_index, side, C,
     return SectionPoint(v=v, lam=lam, C=C, orthant=sig, layer=sig.layer)
 
 
-def _approach(cw, edge, direction, C, want_below, cap):
-    """Move toward an unbounded segment's finite edge until C_w straddles C."""
-    step = 1.0
-    for _ in range(200):
-        lam = edge + direction * step
-        val = cw(lam)
-        if math.isfinite(val) and ((val < C) if want_below else (val > C)):
-            return lam
-        step *= 0.5
-    raise NoBracketError(C, cap)
-
-
-def _expand(cw, edge, direction, C, cap):
-    """Double away from the finite edge until C_w passes C (or hit the cap)."""
-    step = 1.0
-    while True:
-        lam = edge + direction * step
-        if abs(lam) > cap:
-            raise NoBracketError(C, cap)
-        val = cw(lam)
-        if math.isfinite(val) and ((val >= C) if direction > 0 else (val <= C)):
-            return lam
-        step *= 2.0
-
-
 def _approach_inside(cw, lo, hi, C, from_left):
     """Shrink toward one endpoint of a bounded segment until C_w straddles C."""
     width = hi - lo
@@ -321,7 +359,7 @@ def _approach_inside(cw, lo, hi, C, from_left):
         if math.isfinite(val) and ((val < C) if from_left else (val > C)):
             return lam
         frac *= 0.5
-    raise NoBracketError(C, math.inf)  # divergence guaranteed; loop exhaustion is numeric
+    raise NoBracketError(C)  # divergence guaranteed; loop exhaustion is numeric
 
 
 def _bisect_polish(model, w, cw, a, b, C):

@@ -1,12 +1,18 @@
 import math
+from importlib import import_module
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberalloc import (
+    ConfinementError,
+    ExtremalSolveError,
     NonGenericSegmentError,
     OriginExcludedError,
     SectionInverseConfig,
+    WrongShapeError,
     actuation,
     extremal_inverse,
     extremal_inverse_batch,
@@ -16,7 +22,7 @@ from fiberalloc import (
     section_inverse,
     smoothness_probe,
 )
-from conftest import random_model
+from conftest import assert_on_leaf, log_potential, random_model
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,6 +86,93 @@ class TestExtremalInverse:
                     vk, extremal_inverse(m3, wk, 0.3, branch=branch), atol=1e-10)
 
 
+class TestExtremalLogOffsetSolve:
+    def test_batch_on_leaf_at_large_tasks(self, m2a, m3, m3bal):
+        # 110 bisections in lambda missed the leaf by up to 2e-6 here
+        rng = np.random.default_rng(113)
+        for m in (m3, m3bal, m2a):
+            W = rng.normal(size=(200, m.m))
+            W *= 5e2 / np.linalg.norm(W, axis=1, keepdims=True)
+            for branch in ("positive", "negative"):
+                assert_on_leaf(m, extremal_inverse_batch(m, W, 0.0, branch),
+                               W, 0.0)
+
+    def test_batch_deep_negative_level(self):
+        # the batch bracket search gave up at C = -30
+        rng = np.random.default_rng(127)
+        for _ in range(20):
+            m = random_model(rng, int(rng.integers(2, 7)))
+            W = rng.normal(size=(20, m.m))
+            for branch in ("positive", "negative"):
+                assert_on_leaf(m, extremal_inverse_batch(m, W, -30.0, branch),
+                               W, -30.0)
+
+    @pytest.mark.parametrize("C, scale", [(30.0, 1.0), (60.0, 1.0),
+                                          (0.0, 1e150)])
+    def test_scalar_and_batch_beyond_the_old_lambda_cap(self, m2, m3, m3bal,
+                                                        C, scale):
+        rng = np.random.default_rng(131)
+        for m in (m2, m3, m3bal):
+            W = scale * rng.normal(size=(8, m.m))
+            for branch in ("positive", "negative"):
+                V = extremal_inverse_batch(m, W, C, branch)
+                assert_on_leaf(m, V, W, C)
+                for wk, vk in zip(W, V):
+                    assert np.array_equal(extremal_inverse(m, wk, C, branch), vk)
+
+    @pytest.mark.parametrize("branch, C", [("positive", -200.0),
+                                           ("negative", 200.0)])
+    def test_unrepresentable_state_names_the_row(self, m3, branch, C):
+        W = np.array([[1.0, 0.5], [0.0, 1e150], [2.0, 1.0]])
+        with pytest.raises(ExtremalSolveError) as exc:
+            extremal_inverse_batch(m3, W, C, branch)
+        assert exc.value.row == 1
+        assert np.array_equal(exc.value.w, W[1])
+        assert "row 1" in str(exc.value)
+
+    def test_non_finite_task_names_the_row(self, m3):
+        # the row sits in the second chunk of the batch solve
+        k = import_module("fiberalloc.allocator").SOLVE_CHUNK_ROWS + 7
+        W = np.ones((k + 3, 2))
+        W[k, 0] = np.nan
+        with pytest.raises(ExtremalSolveError) as exc:
+            extremal_inverse_batch(m3, W, 0.0)
+        assert exc.value.row == k
+
+    def test_iteration_cap_names_the_row(self, m3, monkeypatch):
+        monkeypatch.setattr(import_module("fiberalloc.potential"),
+                            "NEWTON_MAX_ITER", 1)
+        W = np.array([[0.0, 0.0], [3.0, -1.0]])
+        with pytest.raises(ExtremalSolveError, match="Newton") as exc:
+            extremal_inverse_batch(m3, W, 0.5)
+        assert exc.value.row == 1
+        assert np.array_equal(exc.value.w, W[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8),
+           model_seed=st.integers(0, 2**32 - 1),
+           branch=st.sampled_from(["positive", "negative"]))
+    def test_known_states_scalar_equals_batch(self, data, n, model_seed, branch):
+        # states built first, tasks and levels derived from them, so a
+        # representable answer exists for every draw
+        rng = np.random.default_rng(model_seed)
+        m = random_model(rng, n)
+        exps = np.array(data.draw(st.lists(
+            st.floats(-100.0, 100.0), min_size=n, max_size=n)))
+        sign = 1.0 if branch == "positive" else -1.0
+        v = sign * np.sign(m.b) * 10.0 ** exps
+        # more states on the same leaf: log offsets orthogonal to |b|
+        d = rng.normal(scale=20.0, size=(3, n))
+        ab = np.abs(m.b)
+        d -= np.outer(d @ ab, ab) / (ab @ ab)
+        V0 = np.vstack([v, v * np.exp(d)])
+        W = (V0 * np.abs(V0)) @ m.A.T
+        C = float(log_potential(m, v)[0])
+        V = extremal_inverse_batch(m, W, C, branch)
+        assert_on_leaf(m, V, W, C)
+        assert np.array_equal(extremal_inverse(m, W[0], C, branch), V[0])
+
+
 class TestSectionInverse:
     def test_middle_layer(self, m2):
         sp, report = section_inverse(m2, [2.0], SectionInverseConfig(layer=1))
@@ -133,7 +226,7 @@ class TestLiftTrajectory:
         t = np.linspace(0.0, 2 * np.pi, 10_001)
         lift = lift_trajectory(m2, t, np.sin(t)[:, None], "extremal")
         assert lift.signature_changes == 0
-        assert lift.signatures[0] == "(+,-)"
+        assert lift.masks[0] == 0b01   # signature (+,-): only v_1 > 0
         assert lift.max_speed < 10.0
 
     def test_sin_naive_flips_and_spikes(self, m2):
@@ -150,6 +243,26 @@ class TestLiftTrajectory:
             lift = lift_trajectory(m3, t, W, allocator,
                                    config=SectionInverseConfig(layer=1))
             assert lift.max_speed == pytest.approx(0.0, abs=1e-9)
+
+    def test_mismatched_shape_is_refused(self, m3):
+        t = np.linspace(0.0, 1.0, 5)
+        W = np.ones((5, 2))
+        with pytest.raises(WrongShapeError, match=r"\(2, 5\).*\(5,\)"):
+            lift_trajectory(m3, t, W.T, "extremal")
+        with pytest.raises(WrongShapeError):
+            lift_trajectory(m3, t[:4], W, "naive")
+
+    def test_confinement_violation_is_typed(self, m2, monkeypatch):
+        def flipping(model, W, C=0.0, branch="positive"):
+            V = np.tile(model.c, (len(W), 1))
+            V[3:] *= -1.0
+            return V
+        monkeypatch.setattr(import_module("fiberalloc.allocator"),
+                            "extremal_inverse_batch", flipping)
+        t = np.linspace(0.0, 1.0, 6)
+        with pytest.raises(ConfinementError, match="sample 3") as exc:
+            lift_trajectory(m2, t, t[:, None], "extremal")
+        assert exc.value.sample == 3
 
     def test_section_through_origin_reports_sample(self, m2):
         t = np.linspace(-1.0, 1.0, 21)  # crosses w = 0 at t = 0

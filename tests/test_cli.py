@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -108,6 +110,11 @@ class TestInvert:
         np.testing.assert_allclose(doc["v"], [1.55377, -0.64359], atol=5e-6)
         np.testing.assert_allclose(doc["actuation_check"], [2.0], rtol=1e-9)
 
+    def test_unrepresentable_state_is_solver_error(self, model_file, capsys):
+        rc = main(["invert", "--model", model_file, "--w=0,1e150", "--C=-200"])
+        assert rc == 2
+        assert "row 0" in capsys.readouterr().err
+
     def test_transitional_origin_is_solver_error(self, model2_file, capsys):
         rc = main(["invert", "--model", model2_file, "--w", "0.0",
                    "--layer", "1"])
@@ -148,3 +155,36 @@ class TestLift:
         assert rc == 0
         summary = json.loads((out / "lift_naive.json").read_text())
         assert summary["signature_changes"] >= 2
+
+    def test_csv_format(self, model2_file, tmp_path):
+        # a comment line, then csv.writer rows: \r\n endings, %.17g floats
+        # and the signature quoted
+        traj = self.write_trajectory(tmp_path)
+        out = tmp_path / "lift"
+        for allocator in ("extremal", "naive"):
+            assert main(["lift", "--model", model2_file, "--trajectory", traj,
+                         "--allocator", allocator, "--out", str(out),
+                         "--seed", "5"]) == 0
+            path = out / f"lift_{allocator}.csv"
+            comment, header, rows = read_csv(path)
+            assert comment == "# fiberalloc 0.1.0 seed=5\n"
+            assert {r[-1] for r in rows} <= {"(+,-)", "(-,+)", "(+,+)", "(-,-)"}
+            text = io.StringIO(newline="")
+            writer = csv.writer(text)
+            writer.writerow(header)
+            for r in rows:
+                writer.writerow([f"{float(x):.17g}" for x in r[:-1]] + [r[-1]])
+            assert path.read_bytes() == (comment + text.getvalue()).encode()
+
+    def test_confinement_violation_is_solver_error(self, model2_file, tmp_path,
+                                                   capsys, monkeypatch):
+        def flipping(model, W, C=0.0, branch="positive"):
+            V = np.tile(model.c, (len(W), 1))
+            V[10:] *= -1.0
+            return V
+        monkeypatch.setattr(import_module("fiberalloc.allocator"),
+                            "extremal_inverse_batch", flipping)
+        rc = main(["lift", "--model", model2_file, "--trajectory",
+                   self.write_trajectory(tmp_path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "sample 10" in capsys.readouterr().err

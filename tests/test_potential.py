@@ -8,6 +8,7 @@ from fiberalloc import (
     CrossingStateError,
     actuation,
     crossing_parameters,
+    extremal_inverse,
     fiber_segments,
     jacobian,
     potential,
@@ -171,6 +172,19 @@ class TestSectionIntersection:
             lams = np.sort(rng.uniform(lo + 1e-6, hi - 1e-6, size=10))
             vals = [potential_along_fiber(m, w, x).value for x in lams]
             assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
+
+    def test_unbounded_segments_are_the_extremal_inverse(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            m = random_model(rng, int(rng.integers(2, 6)))
+            w = rng.normal(size=m.m)
+            C = float(rng.normal(scale=30.0))
+            tr = crossing_parameters(m, w)
+            for seg, branch in ((0, "negative"),
+                                (len(tr.distinct_crossings), "positive")):
+                sp = section_intersection(m, w, seg, C, trace=tr)
+                assert np.array_equal(sp.v, extremal_inverse(m, w, C, branch))
+                assert sp.layer == (m.n if branch == "positive" else 0)
 
     def test_reproducible_to_1e10(self, m2):
         a = section_intersection(m2, [1.7], 1, 0.4).lam
