@@ -59,7 +59,7 @@ class LiftedTrajectory:
     v: np.ndarray          # (N, n)
     speed: np.ndarray      # (N,) finite-difference ||dv/dt||, first entry 0
     min_abs_v: np.ndarray  # (N,)
-    masks: np.ndarray      # (N,) int64 orthant bitmask, bit i set when v_i > 0
+    masks: np.ndarray      # (N,) orthant bitmask, bit i set when v_i > 0 (see orthant_masks)
 
     @property
     def max_speed(self) -> float:
@@ -160,8 +160,6 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     if w_samples.shape != (t.shape[0], model.m):
         raise WrongShapeError(f"w_samples has shape {w_samples.shape}, t has "
                               f"shape {t.shape}: expected {(t.shape[0], model.m)}")
-    if model.n > 64:
-        raise ValueError("orthant bitmasks hold at most 64 actuators")
     if np.any(np.diff(t) <= 0):
         raise ValueError("time stamps must be strictly increasing")
     if config is None:
@@ -185,7 +183,7 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
 
     speed = np.zeros(t.shape[0])
     speed[1:] = np.linalg.norm(np.diff(vs, axis=0), axis=1) / np.diff(t)
-    masks = (vs > 0) @ (1 << np.arange(model.n, dtype=np.int64))
+    masks = orthant_masks(vs)
     if allocator == "extremal":
         changed = np.flatnonzero(np.diff(masks))
         if changed.size:
@@ -193,6 +191,22 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     return LiftedTrajectory(
         allocator=allocator, t=t, w=w_samples, v=vs, speed=speed,
         min_abs_v=np.min(np.abs(vs), axis=1), masks=masks)
+
+
+def orthant_masks(V: np.ndarray) -> np.ndarray:
+    """One bitmask per row of V, bit i set when v_i > 0.
+
+    int64 for fewer than 64 columns; beyond that an object array of Python
+    ints, so that every actuator count is covered.
+    """
+    pos = V > 0
+    n = pos.shape[1]
+    if n < 64:
+        return pos @ (1 << np.arange(n, dtype=np.int64))
+    masks = np.empty(pos.shape[0], dtype=object)
+    masks[:] = [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(pos, axis=1, bitorder="little")]
+    return masks
 
 
 def smoothness_probe(model: AllocationModel, w0, direction, C: float,

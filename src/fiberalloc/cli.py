@@ -39,9 +39,10 @@ from .errors import (
     WrongShapeError,
 )
 from .fibers import crossing_parameters, fiber_point
-from .model import actuation, load_model
+from .model import AllocationModel, actuation, load_model
 from .potential import potential, section_intersection
 from .strata import (
+    classify_orthant,
     enumerate_layer,
     graph_to_dot,
     graph_to_json,
@@ -81,20 +82,18 @@ def _write_csv(path: Path, header: list[str], rows, seed) -> None:
             writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
-def _signature_label(mask: int, n: int) -> str:
-    """Orthant signature text, e.g. "(+,-,+)", of a bitmask (bit i: v_i > 0)."""
-    return "(" + ",".join("+" if mask >> i & 1 else "-" for i in range(n)) + ")"
-
-
 def _write_lift_csv(path: Path, header: list[str], values: np.ndarray,
-                    masks: np.ndarray, n: int, seed) -> None:
-    """Float rows plus a quoted n-actuator signature column, as _write_csv writes them.
+                    masks: np.ndarray, model: AllocationModel,
+                    seed) -> None:
+    """Float rows plus a quoted orthant-signature column, as _write_csv writes them.
 
     Rows are formatted a chunk at a time with one %-format each, and every
-    distinct mask is turned into its label once.
+    distinct mask (bit i set when v_i > 0) is turned into its label once.
     """
     fmt = ",".join(["%.17g"] * values.shape[1]) + ',"%s"\r\n'
-    label = {k: _signature_label(k, n) for k in np.unique(masks).tolist()}
+    label = {k: str(classify_orthant(model, [1 if k >> i & 1 else -1
+                                             for i in range(model.n)]))
+             for k in np.unique(masks).tolist()}
     with _csv_file(path, header, seed) as fh:
         for lo in range(0, len(values), CSV_CHUNK_ROWS):
             hi = lo + CSV_CHUNK_ROWS
@@ -246,7 +245,7 @@ def cmd_lift(args) -> int:
         ["speed", "min_abs_v", "signature"]
     values = np.column_stack([t, lifted.v, lifted.speed, lifted.min_abs_v])
     _write_lift_csv(out / f"lift_{args.allocator}.csv", header, values,
-                    lifted.masks, model.n, args.seed)
+                    lifted.masks, model, args.seed)
     summary = {
         "allocator": args.allocator,
         "samples": len(t),

@@ -26,6 +26,7 @@ from .errors import (
     ExtremalSolveError,
     NoBracketError,
     NonGenericSegmentError,
+    WrongShapeError,
 )
 from .fibers import FiberTrace, crossing_parameters, fiber_point
 from .model import AllocationModel, Task
@@ -179,6 +180,7 @@ def extremal_section(model: AllocationModel, W, C: float,
     the module docstring.  Raises ExtremalSolveError for the first row that
     needs over NEWTON_MAX_ITER steps or whose state has a zero, subnormal or
     non-finite component, naming it as row ``first_row`` + its index in W.
+    Raises WrongShapeError unless W has m columns.
     """
     if branch not in ("positive", "negative"):
         raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
@@ -186,6 +188,9 @@ def extremal_section(model: AllocationModel, W, C: float,
         raise ValueError("target potential level must be finite")
     sign = 1.0 if branch == "positive" else -1.0
     W = np.atleast_2d(np.asarray(W, dtype=float))
+    if W.ndim != 2 or W.shape[1] != model.m:
+        raise WrongShapeError(f"tasks have shape {W.shape}: expected "
+                              f"(rows, {model.m}) for an m = {model.m} model")
     # the negative branch of (w, C) mirrors the positive branch of (-w, -C)
     lam_star = -sign * _rowwise_matvec(W, model.A_pinv) / model.b
     edge = lam_star.max(axis=1, keepdims=True)

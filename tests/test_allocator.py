@@ -22,7 +22,7 @@ from fiberalloc import (
     section_inverse,
     smoothness_probe,
 )
-from conftest import assert_on_leaf, log_potential, random_model
+from conftest import assert_on_leaf, log_potential, model_with_b, random_model
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,6 +148,15 @@ class TestExtremalLogOffsetSolve:
         assert exc.value.row == 1
         assert np.array_equal(exc.value.w, W[1])
 
+    @pytest.mark.parametrize("w", [[1.0], [1.0, 2.0, 3.0]])
+    def test_wrong_task_length_is_refused(self, m3, w):
+        # a short task must not read as zero-padded, a long one must not
+        # surface as an IndexError
+        with pytest.raises(WrongShapeError, match=r"\(rows, 2\)"):
+            extremal_inverse(m3, w)
+        with pytest.raises(WrongShapeError):
+            extremal_inverse_batch(m3, np.tile(w, (3, 1)))
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(2, 8),
            model_seed=st.integers(0, 2**32 - 1),
@@ -263,6 +272,16 @@ class TestLiftTrajectory:
         with pytest.raises(ConfinementError, match="sample 3") as exc:
             lift_trajectory(m2, t, t[:, None], "extremal")
         assert exc.value.sample == 3
+
+    def test_masks_beyond_64_actuators(self):
+        m = model_with_b(np.linspace(1.0, 2.0, 70) * (-1.0) ** np.arange(70))
+        t = np.linspace(0.0, 1.0, 4)
+        W = np.outer(np.sin(3.0 * t), np.ones(69))
+        for allocator in ("extremal", "naive"):
+            lift = lift_trajectory(m, t, W, allocator)
+            for v, k in zip(lift.v, lift.masks):
+                assert [k >> i & 1 for i in range(70)] == list(v > 0)
+        assert lift_trajectory(m, t, W, "extremal").signature_changes == 0
 
     def test_section_through_origin_reports_sample(self, m2):
         t = np.linspace(-1.0, 1.0, 21)  # crosses w = 0 at t = 0

@@ -115,6 +115,12 @@ class TestInvert:
         assert rc == 2
         assert "row 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w", ["--w=1", "--w=1,2,3"])
+    def test_wrong_task_length_is_validation_error(self, model_file, capsys, w):
+        rc = main(["invert", "--model", model_file, w])
+        assert rc == 1
+        assert "validation error" in capsys.readouterr().err
+
     def test_transitional_origin_is_solver_error(self, model2_file, capsys):
         rc = main(["invert", "--model", model2_file, "--w", "0.0",
                    "--layer", "1"])
