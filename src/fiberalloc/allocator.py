@@ -21,6 +21,7 @@ from .errors import (
 from .fibers import crossing_parameters
 from .model import AllocationModel, Task, untransform
 from .potential import SectionPoint, extremal_section, section_intersection
+from .strata import orthant_masks
 
 #: Relative min|v_i| margin below which a transitional inverse reports hinge proximity.
 HINGE_MARGIN = 1e-6
@@ -59,7 +60,7 @@ class LiftedTrajectory:
     v: np.ndarray          # (N, n)
     speed: np.ndarray      # (N,) finite-difference ||dv/dt||, first entry 0
     min_abs_v: np.ndarray  # (N,)
-    masks: np.ndarray      # (N,) orthant bitmask, bit i set when v_i > 0 (see orthant_masks)
+    masks: np.ndarray      # (N,) strata.orthant_masks of v: bit i set when v_i > 0
 
     @property
     def max_speed(self) -> float:
@@ -74,10 +75,9 @@ def extremal_inverse(model: AllocationModel, w, C: float = 0.0,
                      branch: str = "positive") -> np.ndarray:
     """Singularity-free right-inverse on an extremal leaf.
 
-    Returns the unique v with actuation(v) = w, Phi(v) = C, and
-    sign(v) = +/- sign(b) strictly; defined for every finite w including 0,
-    wherever that v is representable in float64.  This is the batch-of-one
-    case of :func:`extremal_inverse_batch`.
+    Returns the unique v with actuation(v) = w, Phi(v) = C and sign(v) =
+    +/- sign(b) strictly, for every finite w including 0 wherever that v is
+    representable in float64: the batch-of-one :func:`extremal_inverse_batch`.
     """
     w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
     return extremal_inverse_batch(model, w[None, :], C, branch)[0]
@@ -184,29 +184,12 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     speed = np.zeros(t.shape[0])
     speed[1:] = np.linalg.norm(np.diff(vs, axis=0), axis=1) / np.diff(t)
     masks = orthant_masks(vs)
-    if allocator == "extremal":
-        changed = np.flatnonzero(np.diff(masks))
-        if changed.size:
-            raise ConfinementError(int(changed[0]) + 1)
+    changed = np.flatnonzero(np.diff(masks))
+    if allocator == "extremal" and changed.size:
+        raise ConfinementError(int(changed[0]) + 1)
     return LiftedTrajectory(
         allocator=allocator, t=t, w=w_samples, v=vs, speed=speed,
         min_abs_v=np.min(np.abs(vs), axis=1), masks=masks)
-
-
-def orthant_masks(V: np.ndarray) -> np.ndarray:
-    """One bitmask per row of V, bit i set when v_i > 0.
-
-    int64 for fewer than 64 columns; beyond that an object array of Python
-    ints, so that every actuator count is covered.
-    """
-    pos = V > 0
-    n = pos.shape[1]
-    if n < 64:
-        return pos @ (1 << np.arange(n, dtype=np.int64))
-    masks = np.empty(pos.shape[0], dtype=object)
-    masks[:] = [int.from_bytes(row.tobytes(), "little")
-                for row in np.packbits(pos, axis=1, bitorder="little")]
-    return masks
 
 
 def smoothness_probe(model: AllocationModel, w0, direction, C: float,

@@ -36,7 +36,7 @@ from .strata import OrthantSignature, classify_orthant, extremal_signature
 BISECT_RTOL = 1e-12
 #: Newton steps allowed per row of the extremal solve (a handful suffice).
 NEWTON_MAX_ITER = 64
-EPS = np.finfo(float).eps
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 #: An extremal offset a_i is zero below CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|
 #: plus the row's largest such bound: 32 times the rounding bound of lambda*.
 CROSSING_RTOL = 32 * EPS
@@ -189,8 +189,7 @@ def extremal_section(model: AllocationModel, W, C: float,
     sign = 1.0 if branch == "positive" else -1.0
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.ndim != 2 or W.shape[1] != model.m:
-        raise WrongShapeError(f"tasks have shape {W.shape}: expected "
-                              f"(rows, {model.m}) for an m = {model.m} model")
+        raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
     # the negative branch of (w, C) mirrors the positive branch of (-w, -C)
     lam_star = -sign * _rowwise_matvec(W, model.A_pinv) / model.b
     edge = lam_star.max(axis=1, keepdims=True)
@@ -223,12 +222,11 @@ def extremal_section(model: AllocationModel, W, C: float,
                                      f"no convergence in {NEWTON_MAX_ITER} Newton steps")
         V = sign * model.c * np.exp(0.5 * np.logaddexp(log_a, s[:, None]))
         lam = sign * (edge[:, 0] + np.exp(s))
-    bad = ~np.all(np.isfinite(V) & (np.abs(V) >= np.finfo(float).tiny), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
+    bad = np.flatnonzero(~np.all(np.isfinite(V) & (np.abs(V) >= TINY), axis=1))
+    if bad.size:
         raise ExtremalSolveError(
-            first_row + k, W[k], "the state has a zero, subnormal or non-finite "
-            "component (the leaf point lies outside the float64 range)")
+            first_row + int(bad[0]), W[bad[0]], "the state has a zero, subnormal or "
+            "non-finite component (the leaf point lies outside the float64 range)")
     return V, lam
 
 

@@ -81,6 +81,22 @@ def signature_from_mask(model: AllocationModel, mask: int) -> OrthantSignature:
     return classify_orthant(model, sigma)
 
 
+def orthant_masks(V: np.ndarray) -> np.ndarray:
+    """One bitmask per row of V, bit i set when v_i > 0.
+
+    int64 for fewer than 64 columns; beyond that an object array of Python
+    ints, so that every actuator count is covered.
+    """
+    pos = V > 0
+    n = pos.shape[1]
+    if n < 64:
+        return pos @ (1 << np.arange(n, dtype=np.int64))
+    masks = np.empty(pos.shape[0], dtype=object)
+    masks[:] = [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(pos, axis=1, bitorder="little")]
+    return masks
+
+
 def extremal_signature(model: AllocationModel, branch: str = "positive") -> OrthantSignature:
     """The orthant with sign(v) = +/- sign(b)."""
     sb = np.sign(model.b).astype(int)
