@@ -23,10 +23,10 @@ from .errors import (
     DegenerateRedundancyError,
     ExtremalSolveError,
     FiberAllocError,
-    NoBracketError,
     NonGenericSegmentError,
     OriginExcludedError,
     RankDeficientError,
+    SectionSolveError,
     WrongShapeError,
 )
 from .fibers import (
@@ -53,11 +53,13 @@ from .potential import (
     PotentialValue,
     SectionPoint,
     fiber_segments,
+    layer_section,
     potential,
     potential_along_fiber,
     potential_gradient,
     potential_near_crossing,
     potential_slope,
+    raise_for_status,
     section_intersection,
 )
 from .strata import (

@@ -12,20 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfinementError,
-    NonGenericSegmentError,
-    OriginExcludedError,
-    WrongShapeError,
-)
-from .fibers import crossing_parameters
+from .errors import ConfinementError, WrongShapeError
 from .model import AllocationModel, Task, untransform
-from .potential import SectionPoint, extremal_section, section_intersection
+from .potential import SectionPoint, layer_point, layer_section, raise_for_status
 from .strata import orthant_masks
 
 #: Relative min|v_i| margin below which a transitional inverse reports hinge proximity.
 HINGE_MARGIN = 1e-6
-#: Rows the batch extremal inverse solves at once.
+#: Rows the batch inverses solve at once.
 SOLVE_CHUNK_ROWS = 4096
 
 
@@ -87,15 +81,30 @@ def extremal_inverse_batch(model: AllocationModel, W, C: float = 0.0,
                            branch: str = "positive") -> np.ndarray:
     """Extremal inverse for a batch of tasks (one row per task).
 
+    The layer-n (positive) or layer-0 (negative) batch section solve; a row
+    it cannot solve raises ExtremalSolveError naming the row index and its
+    task.
+    """
+    if branch not in ("positive", "negative"):
+        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
+    return _solve_rows(model, W, model.n if branch == "positive" else 0, C)
+
+
+def _solve_rows(model: AllocationModel, W, layer: int, C: float,
+                t=None) -> np.ndarray:
+    """States of the task rows W on the layer-``layer`` leaf C.
+
     Solves SOLVE_CHUNK_ROWS rows at a time (bounding the working memory) with
-    :func:`fiberalloc.potential.extremal_section`; a row it cannot solve
-    raises ExtremalSolveError naming the row index and its task.
+    :func:`fiberalloc.potential.layer_section`; the first row it cannot solve
+    raises its typed error (:func:`fiberalloc.potential.raise_for_status`),
+    naming it as a sample with its time ``t[row]`` when ``t`` is given.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     V = np.empty((W.shape[0], model.n))
     for lo in range(0, W.shape[0], SOLVE_CHUNK_ROWS):
-        hi = lo + SOLVE_CHUNK_ROWS
-        V[lo:hi] = extremal_section(model, W[lo:hi], C, branch, first_row=lo)[0]
+        chunk = W[lo:lo + SOLVE_CHUNK_ROWS]
+        V[lo:lo + SOLVE_CHUNK_ROWS], _, status = layer_section(model, chunk, layer, C)
+        raise_for_status(model, chunk, layer, status, first_row=lo, t=t)
     return V
 
 
@@ -103,29 +112,16 @@ def section_inverse(model: AllocationModel, w,
                     config: SectionInverseConfig) -> tuple[SectionPoint, HingeProximity | None]:
     """Right-inverse on the layer-``config.layer`` global section.
 
-    For transitional layers the origin is excluded (the central fiber skips
-    them), and results with min|v_i| under the hinge margin carry a
-    HingeProximity report naming the two smallest components.
+    The batch-of-one :func:`fiberalloc.potential.layer_section`.  For
+    transitional layers the origin is excluded (the central fiber skips them),
+    and results with min|v_i| under the hinge margin carry a HingeProximity
+    report naming the two smallest components.
     """
-    w_arr = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
-    if not 0 <= config.layer <= model.n:
-        raise ValueError(f"layer must lie in [0, {model.n}]")
-    transitional = 0 < config.layer < model.n
-    if transitional and np.all(w_arr == 0.0):
-        raise OriginExcludedError(
-            "zero task has no preimage on a transitional layer")
-
-    trace = crossing_parameters(model, w_arr)
-    seg_layers = [sig.layer for sig in trace.orthant_sequence]
-    if config.layer not in seg_layers:
-        raise NonGenericSegmentError(
-            f"fiber skips layer {config.layer} (merged crossings inhabit "
-            f"layers {seg_layers})")
-    segment = seg_layers.index(config.layer)
-    sp = section_intersection(model, w_arr, segment, config.C, trace=trace)
+    w_arr = w.w if isinstance(w, Task) else w
+    sp = layer_point(model, w_arr, config.layer, config.C)
 
     report = None
-    if transitional:
+    if 0 < config.layer < model.n:
         absv = np.abs(sp.v)
         floor = config.hinge_margin * np.max(absv)
         if np.min(absv) < floor:
@@ -151,9 +147,9 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     """Lift a sampled task trajectory through one allocator, per sample.
 
     ``allocator`` is one of 'extremal', 'section', or 'naive'; ``w_samples``
-    holds one task row per time stamp.  Allocator errors name the failing
-    sample index.  An extremal lift that leaves its orthant raises
-    ConfinementError.
+    holds one task row per time stamp.  Section errors name the failing
+    sample and its time, extremal ones the sample.  An extremal lift that
+    leaves its orthant raises ConfinementError.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))
@@ -170,14 +166,7 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     elif allocator == "naive":
         vs = untransform(w_samples @ model.A_pinv.T)
     elif allocator == "section":
-        vs = np.empty((t.shape[0], model.n))
-        for k, wk in enumerate(w_samples):
-            try:
-                vs[k] = section_inverse(model, wk, config)[0].v
-            except Exception as exc:
-                exc.args = tuple(exc.args) + (
-                    f"while lifting sample {k} (t = {t[k]:g})",)
-                raise
+        vs = _solve_rows(model, w_samples, config.layer, config.C, t=t)
     else:
         raise ValueError(f"unknown allocator {allocator!r}")
 

@@ -22,7 +22,6 @@ from .allocator import (
     SectionInverseConfig,
     extremal_inverse,
     lift_trajectory,
-    naive_minimum_norm_inverse,
     section_inverse,
 )
 from .errors import (
@@ -30,23 +29,22 @@ from .errors import (
     ConfinementError,
     CrossingStateError,
     DegenerateRedundancyError,
-    ExtremalSolveError,
-    FiberAllocError,
-    NoBracketError,
     NonGenericSegmentError,
     OriginExcludedError,
     RankDeficientError,
+    SectionSolveError,
     WrongShapeError,
 )
 from .fibers import crossing_parameters, fiber_point
 from .model import AllocationModel, actuation, load_model
-from .potential import potential, section_intersection
+from .potential import SOLVED, layer_section
 from .strata import (
     classify_orthant,
     enumerate_layer,
     graph_to_dot,
     graph_to_json,
     layer_adjacency_graph,
+    orthant_masks,
     reciprocal_hinges,
 )
 
@@ -56,8 +54,8 @@ CSV_CHUNK_ROWS = 4096
 
 _VALIDATION_ERRORS = (WrongShapeError, RankDeficientError,
                       DegenerateRedundancyError, ValueError)
-_SOLVER_ERRORS = (NoBracketError, NonGenericSegmentError, OriginExcludedError,
-                  CrossingStateError, BoundaryStateError, ExtremalSolveError,
+_SOLVER_ERRORS = (NonGenericSegmentError, OriginExcludedError,
+                  CrossingStateError, BoundaryStateError, SectionSolveError,
                   ConfinementError)
 
 
@@ -82,18 +80,23 @@ def _write_csv(path: Path, header: list[str], rows, seed) -> None:
             writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
+def _mask_labels(model: AllocationModel, masks: np.ndarray) -> dict:
+    """Orthant-signature text of every distinct mask (bit i set when v_i > 0)."""
+    return {k: str(classify_orthant(model, [1 if k >> i & 1 else -1
+                                            for i in range(model.n)]))
+            for k in set(masks.tolist())}
+
+
 def _write_lift_csv(path: Path, header: list[str], values: np.ndarray,
                     masks: np.ndarray, model: AllocationModel,
                     seed) -> None:
     """Float rows plus a quoted orthant-signature column, as _write_csv writes them.
 
     Rows are formatted a chunk at a time with one %-format each, and every
-    distinct mask (bit i set when v_i > 0) is turned into its label once.
+    distinct mask is turned into its label once.
     """
     fmt = ",".join(["%.17g"] * values.shape[1]) + ',"%s"\r\n'
-    label = {k: str(classify_orthant(model, [1 if k >> i & 1 else -1
-                                             for i in range(model.n)]))
-             for k in np.unique(masks).tolist()}
+    label = _mask_labels(model, masks)
     with _csv_file(path, header, seed) as fh:
         for lo in range(0, len(values), CSV_CHUNK_ROWS):
             hi = lo + CSV_CHUNK_ROWS
@@ -162,26 +165,26 @@ def cmd_foliation(args) -> int:
     dirs = rng.normal(size=(args.grid, model.m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
+    # one task per (direction, magnitude), magnitudes varying fastest
+    W = (mags[None, :, None] * dirs[:, None, :]).reshape(-1, model.m)
     header = [f"v_{i+1}" for i in range(model.n)] + ["C", "orthant"] + \
         [f"w_{j+1}" for j in range(model.m)]
     for C in args.C:
-        rows = []
-        for d in dirs:
-            for mag in mags:
-                w = mag * d
-                try:
-                    sp = section_inverse(
-                        model, w, SectionInverseConfig(layer=layer, C=C))[0]
-                except _SOLVER_ERRORS:
-                    continue
-                if sigma is not None and tuple(sp.orthant.sigma) != tuple(sigma):
-                    continue
-                err = abs(potential(model, sp.v).value - C)
-                if err > SELF_CHECK_TOL:
-                    raise AssertionError(
-                        f"self-check failed: |Phi(v) - C| = {err:g}")
-                rows.append([*map(float, sp.v), float(C), str(sp.orthant),
-                             *map(float, w)])
+        V, _, status = layer_section(model, W, layer, C)
+        keep = status == SOLVED   # a row the solver refuses or fails is left out
+        if sigma is not None:
+            keep &= np.all((V > 0) == (sigma > 0), axis=1)
+        V_ok, W_ok = V[keep], W[keep]
+        # Phi in log form: a valid state may have components far below eps_zero
+        err = np.abs(np.sum(model.b * np.sign(V_ok) * np.log(np.abs(V_ok)),
+                            axis=1) - C)
+        if np.any(err > SELF_CHECK_TOL):
+            raise AssertionError(
+                f"self-check failed: |Phi(v) - C| = {err.max():g}")
+        masks = orthant_masks(V_ok)
+        label = _mask_labels(model, masks)
+        rows = [[*v, float(C), label[k], *w] for v, k, w in
+                zip(V_ok.tolist(), masks.tolist(), W_ok.tolist())]
         _write_csv(out / f"foliation_C{C:g}.csv", header, rows, args.seed)
     print(f"wrote {len(args.C)} level-set point clouds to {out}")
     return 0

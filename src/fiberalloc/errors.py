@@ -35,26 +35,35 @@ class CrossingStateError(FiberAllocError):
     """Fiber parameter sits on a hyperplane crossing where the quantity is undefined."""
 
 
-class NoBracketError(FiberAllocError):
-    """Monotone solver could not bracket the target level on a bounded segment."""
-
-    def __init__(self, target: float):
-        self.target = target
-        super().__init__(f"potential level {target:g} not bracketed")
+def row_label(row: int, t: float | None = None) -> str:
+    """How an error names a task row: ``row k``, or ``sample k (t = ...)``
+    for a sample of a lifted trajectory."""
+    return f"row {row}" if t is None else f"sample {row} (t = {t:g})"
 
 
-class ExtremalSolveError(FiberAllocError):
-    """An extremal-leaf solve failed for one task row.
+class SectionSolveError(FiberAllocError):
+    """A section solve failed for one task row.
 
     Raised when the row's Newton iteration hits its cap, or when the rebuilt
     state has a zero, subnormal or non-finite component (the leaf point lies
-    outside the float64 range).  Carries the row index in ``row`` and its task in ``w``.
+    outside the float64 range, or the task is not finite).  Carries the row
+    index in ``row``, its task in ``w`` and, for a lifted sample, its time in ``t``.
     """
 
-    def __init__(self, row: int, w, reason: str):
+    kind = "section"
+
+    def __init__(self, row: int, w, reason: str, t: float | None = None):
         self.row = row
         self.w = w
-        super().__init__(f"extremal solve failed at row {row} (w = {w}): {reason}")
+        self.t = t
+        super().__init__(f"{self.kind} solve failed at {row_label(row, t)} "
+                         f"(w = {w}): {reason}")
+
+
+class ExtremalSolveError(SectionSolveError):
+    """A section solve on an extremal layer (0 or n) failed for one task row."""
+
+    kind = "extremal"
 
 
 class ConfinementError(FiberAllocError):

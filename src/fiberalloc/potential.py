@@ -2,16 +2,27 @@
 monotone section-intersection solving.
 
 The potential Phi(v) = sum_i b_i sign(v_i) ln|v_i| is constant on the leaves
-of the foliation orthogonal to the fibers.  Along a fiber it is strictly
-increasing in lambda on every open segment, diverging to -inf at the segment's
-entry crossing and +inf at its exit, so bounded segments are solved by
-bracketed bisection.  On the positive extremal segment, lambda = lambda_max +
-e^s and a_i = lambda_max - lambda*_i >= 0 make C_w a sum of softplus terms,
-C_w(s) = K + 1/2 sum_i |b_i| logaddexp(ln a_i, s) with K = 1/2 sum_i |b_i|
-ln|b_i|, increasing and convex in s.  Newton from s0 = (C - K) / (1/2 ||b||_1)
-descends monotonically onto the root, and v_i = sign(b_i) sqrt|b_i|
-exp(1/2 logaddexp(ln a_i, s)) is rebuilt from the logs, with no cap on lambda.
-The negative extremal segment is the mirror image (C -> -C, v -> -v).
+of the foliation orthogonal to the fibers.  Along a fiber, u = z + lambda b
+with u_i = b_i (lambda - lambda*_i), it is strictly increasing on every open
+segment between crossings, from -inf to +inf, so each segment meets each leaf
+once.  Every segment is solved by Newton in a log-offset coordinate s:
+
+* extremal (positive; the negative one is its mirror, C -> -C, v -> -v):
+  lambda = lambda_max + e^s and a_i = lambda_max - lambda*_i >= 0 give C_w(s)
+  = K + 1/2 sum_i |b_i| logaddexp(ln a_i, s), K = 1/2 sum_i |b_i| ln|b_i|,
+  convex in s; Newton from s0 = (C - K) / (1/2 ||b||_1) descends onto the root.
+* bounded, between crossings lo < hi of a transitional layer: D = hi - lo,
+  lambda = lo + D sigma(s), and ln|u_i / b_i| = logaddexp(ln a_i, ln D + ln
+  sigma(s)) for an entered component, a_i = lo - lambda*_i, or
+  logaddexp(ln c_i, ln D + ln sigma(-s)) for an exited one, c_i = lambda*_i -
+  hi.  C_w(s) is affine at both ends, and its slope lies between mu, the
+  smaller of the two ends' sums of 1/2 |b_i| over the components vanishing
+  there, and 1/2 ||b||_1; so each evaluation brackets the root, and Newton
+  from s = 0 bisects when a step leaves the bracket.
+
+v_i = sign(u_i) sqrt|b_i| exp(1/2 ln|u_i / b_i|) is rebuilt from the logs, so
+there is no cap on lambda and no special case for roots closer to a crossing
+than lambda resolves.
 """
 from __future__ import annotations
 
@@ -24,22 +35,27 @@ from .errors import (
     BoundaryStateError,
     CrossingStateError,
     ExtremalSolveError,
-    NoBracketError,
     NonGenericSegmentError,
+    OriginExcludedError,
+    SectionSolveError,
     WrongShapeError,
+    row_label,
 )
-from .fibers import FiberTrace, crossing_parameters, fiber_point
+from .fibers import FiberTrace, crossing_parameters
 from .model import AllocationModel, Task
-from .strata import OrthantSignature, classify_orthant, extremal_signature
+from .strata import OrthantSignature, classify_orthant
 
-#: Bisection terminates at this width relative to the initial bracket.
-BISECT_RTOL = 1e-12
-#: Newton steps allowed per row of the extremal solve (a handful suffice).
+#: Newton steps allowed per row of a section solve (a handful suffice).
 NEWTON_MAX_ITER = 64
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
-#: An extremal offset a_i is zero below CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|
-#: plus the row's largest such bound: 32 times the rounding bound of lambda*.
+#: The noise bound of a crossing lambda*_i is CROSSING_RTOL * m * (|A_pinv|
+#: |w|)_i / |b_i|, 32 times its rounding bound.  Offsets to a segment's end
+#: within their bound plus the end's (the row's largest, on an extremal
+#: segment) are 0; a transitional layer whose bounding crossings lie within
+#: the sum of theirs is refused.
 CROSSING_RTOL = 32 * EPS
+#: Per-row status of a section solve (see layer_section).
+SOLVED, REFUSED, NO_CONVERGENCE, OUT_OF_RANGE = range(4)
 
 
 @dataclass(frozen=True)
@@ -145,20 +161,18 @@ def potential_near_crossing(model: AllocationModel, trace: FiberTrace,
     representable range of the offset itself, where the divergence of C_w
     toward the crossing would otherwise be unobservable.
     """
-    lam_star, idx = trace.distinct_crossings[crossing_index]
-    sgn = 1.0 if side == "above" else -1.0
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
-    u0 = trace.z + lam_star * model.b
-    total = 0.0
-    for i in range(model.n):
-        if i in idx:
-            # u_i = b_i * (sgn * delta): sign is sign(b_i)*sgn, log|u_i| splits
-            s = math.copysign(1.0, model.b[i]) * sgn
-            total += model.b[i] * s * (math.log(abs(model.b[i])) + log_delta)
-        else:
-            total += model.b[i] * math.copysign(1.0, u0[i]) * math.log(abs(u0[i]))
-    return 0.5 * total
+    lam_star, idx = trace.distinct_crossings[crossing_index]
+    u = trace.z + lam_star * model.b
+    vanish = np.zeros(model.n, dtype=bool)
+    vanish[list(idx)] = True
+    # u_i = b_i * (+/- delta) for the vanishing components: ln|u_i| splits
+    sign = np.where(vanish, np.sign(model.b) * (1.0 if side == "above" else -1.0),
+                    np.sign(u))
+    with np.errstate(divide="ignore"):
+        log_u = np.where(vanish, np.log(np.abs(model.b)) + log_delta, np.log(np.abs(u)))
+    return 0.5 * float(np.sum(model.b * sign * log_u))
 
 
 def fiber_segments(model: AllocationModel, trace: FiberTrace):
@@ -170,34 +184,51 @@ def fiber_segments(model: AllocationModel, trace: FiberTrace):
     return bounds
 
 
-def extremal_section(model: AllocationModel, W, C: float,
-                     branch: str = "positive",
-                     first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Solve C_w = C on the unbounded extremal segment, one task per row of W.
+def layer_section(model: AllocationModel, W, layer: int,
+                  C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve C_w = C on the layer-``layer`` segment of each task row's fiber.
 
-    Returns ``(V, lam)``: per row the state with sign(v) = +/- sign(b)
-    strictly, and its fiber parameter, from the log-offset Newton iteration of
-    the module docstring.  Raises ExtremalSolveError for the first row that
-    needs over NEWTON_MAX_ITER steps or whose state has a zero, subnormal or
-    non-finite component, naming it as row ``first_row`` + its index in W.
-    Raises WrongShapeError unless W has m columns.
+    Returns ``(V, lam, status)``: per row of W the state on the leaf C in a
+    layer-``layer`` orthant, its fiber parameter and its status.  Layers 0 and
+    n are the extremal segments of :func:`extremal_section`; a transitional
+    one lies between the row's ``layer``-th and ``layer + 1``-th crossings.
+    A row is REFUSED when those lie within their noise bound (CROSSING_RTOL)
+    of each other, the zero task included; NO_CONVERGENCE after
+    NEWTON_MAX_ITER steps; OUT_OF_RANGE when the task is not finite or the
+    state has a zero, subnormal or non-finite component.  Raises ValueError
+    for a non-finite C or a layer outside [0, n], WrongShapeError unless W
+    has m columns.
     """
-    if branch not in ("positive", "negative"):
-        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
     if not math.isfinite(C):
         raise ValueError("target potential level must be finite")
-    sign = 1.0 if branch == "positive" else -1.0
+    if not 0 <= layer <= model.n:
+        raise ValueError(f"layer must lie in [0, {model.n}]")
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.ndim != 2 or W.shape[1] != model.m:
         raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
+    if layer in (0, model.n):
+        return extremal_section(model, W, C, 1.0 if layer else -1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _bounded_section(model, W, layer, C)
+
+
+def extremal_section(model: AllocationModel, W: np.ndarray, C: float,
+                     sign: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve C_w = C on the unbounded extremal segment, one task per row of W.
+
+    ``sign`` is +1 for the positive segment (layer n), -1 for the negative one
+    (layer 0); W holds rows of m tasks, as :func:`layer_section` checks.
+    Returns ``(V, lam, status)``: per row the state with sign(v) = sign *
+    sign(b) strictly, its fiber parameter and its status, from the log-offset
+    Newton iteration of the module docstring.
+    """
     # the negative branch of (w, C) mirrors the positive branch of (-w, -C)
     lam_star = -sign * _rowwise_matvec(W, model.A_pinv) / model.b
     edge = lam_star.max(axis=1, keepdims=True)
     a = edge - lam_star
     # offsets within rounding noise carry no information about w; kept, they
     # inflate lost components and can push the edge one below float64 range
-    noise = (CROSSING_RTOL * W.shape[1]
-             * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))
+    noise = _crossing_noise(model, W)
     a[a <= noise + noise.max(axis=1, keepdims=True)] = 0.0
     half_b = 0.5 * np.abs(model.b)
     offset = half_b @ np.log(np.abs(model.b)) - sign * C   # K - C
@@ -217,17 +248,84 @@ def extremal_section(model: AllocationModel, W, C: float,
             done = ((F <= 0.0) | ~np.isfinite(F)
                     | (np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(s_act))))
             active = active[~done]
-        if active.size:
-            raise ExtremalSolveError(first_row + int(active[0]), W[active[0]],
-                                     f"no convergence in {NEWTON_MAX_ITER} Newton steps")
         V = sign * model.c * np.exp(0.5 * np.logaddexp(log_a, s[:, None]))
         lam = sign * (edge[:, 0] + np.exp(s))
-    bad = np.flatnonzero(~np.all(np.isfinite(V) & (np.abs(V) >= TINY), axis=1))
-    if bad.size:
-        raise ExtremalSolveError(
-            first_row + int(bad[0]), W[bad[0]], "the state has a zero, subnormal or "
-            "non-finite component (the leaf point lies outside the float64 range)")
-    return V, lam
+    status = np.where(np.all(np.isfinite(V) & (np.abs(V) >= TINY), axis=1),
+                      SOLVED, OUT_OF_RANGE)
+    status[active] = NO_CONVERGENCE
+    return V, lam, status
+
+
+def _bounded_section(model: AllocationModel, W: np.ndarray, layer: int,
+                     C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bounded-segment solve of the module docstring, for layer_section."""
+    rows = np.arange(W.shape[0])
+    lam_star = -_rowwise_matvec(W, model.A_pinv) / model.b
+    noise = _crossing_noise(model, W)
+    order = np.argsort(lam_star, axis=1)
+    i_lo, i_hi = order[:, layer - 1], order[:, layer]
+    lo, hi = lam_star[rows, i_lo], lam_star[rows, i_hi]
+    noise_lo, noise_hi = noise[rows, i_lo], noise[rows, i_hi]
+    entered = np.zeros(lam_star.shape, dtype=bool)
+    np.put_along_axis(entered, order[:, :layer], True, axis=1)
+    sg = np.where(entered, 1.0, -1.0)
+    # a_i = lo - lambda*_i (entered), c_i = lambda*_i - hi (exited)
+    off = sg * (np.where(entered, lo[:, None], hi[:, None]) - lam_star)
+    off[off <= noise + np.where(entered, noise_lo[:, None], noise_hi[:, None])] = 0.0
+    D = hi - lo
+    status = np.where(D > noise_lo + noise_hi, SOLVED, REFUSED)
+    status[~np.all(np.isfinite(W), axis=1)] = OUT_OF_RANGE
+
+    half_b = 0.5 * np.abs(model.b)
+    offset = _rowwise_matvec(sg, (half_b * np.log(np.abs(model.b)))[None, :])[:, 0] - C
+    # C_w' lies in [mu, M]: the vanishing components at lo and hi give slope
+    # H_lo sigma(-s) + H_hi sigma(s) >= min(H_lo, H_hi), no term more than |b_i|/2
+    zero = off == 0.0
+    mu = np.minimum(_rowwise_matvec(zero & entered, half_b[None, :])[:, 0],
+                    _rowwise_matvec(zero & ~entered, half_b[None, :])[:, 0])
+    M = half_b.sum()
+    log_off, log_D = np.log(off), np.log(D)
+    s = np.zeros(W.shape[0])
+    s_lo, s_hi = np.full(W.shape[0], -np.inf), np.full(W.shape[0], np.inf)
+    active = np.flatnonzero(status == SOLVED)
+    for _ in range(NEWTON_MAX_ITER):
+        if active.size == 0:
+            break
+        s_act = s[active]
+        x = sg[active] * s_act[:, None]
+        log_sig = -np.logaddexp(0.0, -x)          # ln sigma(sg_i s)
+        L = np.logaddexp(log_off[active], log_D[active, None] + log_sig)
+        F = _rowwise_matvec(sg[active] * L, half_b[None, :])[:, 0] + offset[active]
+        dF = _rowwise_matvec(np.exp(log_D[active, None] + 2.0 * log_sig - x - L),
+                             half_b[None, :])[:, 0]
+        # the root lies between s - F/mu and s - F/M; Newton inside, else bisect
+        far, near = s_act - F / mu[active], s_act - F / M
+        lo_b = s_lo[active] = np.maximum(s_lo[active], np.minimum(far, near))
+        hi_b = s_hi[active] = np.minimum(s_hi[active], np.maximum(far, near))
+        new = s_act - F / dF
+        new = np.where((new >= lo_b) & (new <= hi_b), new, 0.5 * (lo_b + hi_b))
+        s[active] = new
+        # stop on a step within rounding of s, or on an F within rounding of
+        # its terms, where a Newton step would only chase the noise of F
+        F_tol = 4.0 * EPS * (_rowwise_matvec(np.abs(L), half_b[None, :])[:, 0]
+                             + np.abs(offset[active]))
+        done = ((np.abs(F) <= F_tol) | ~np.isfinite(F)
+                | (np.abs(new - s_act) <= 4.0 * EPS * (1.0 + np.abs(s_act))))
+        active = active[~done]
+    L = np.logaddexp(log_off, log_D[:, None] - np.logaddexp(0.0, -sg * s[:, None]))
+    V = sg * model.c * np.exp(0.5 * L)
+    lam = lo + D * np.exp(-np.logaddexp(0.0, -s))
+    status[~np.all(np.isfinite(V) & (np.abs(V) >= TINY), axis=1)
+           & (status == SOLVED)] = OUT_OF_RANGE
+    status[active] = NO_CONVERGENCE
+    return V, lam, status
+
+
+def _crossing_noise(model: AllocationModel, W: np.ndarray) -> np.ndarray:
+    """Per row, CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|: the rounding
+    bound of the crossings lambda*_i, times 32."""
+    return (CROSSING_RTOL * W.shape[1]
+            * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))
 
 
 def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -239,157 +337,65 @@ def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
+def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
+                     status: np.ndarray, first_row: int = 0, t=None) -> None:
+    """Raise the typed error of the first row of W whose status is not SOLVED.
+
+    It names the row ``first_row`` + its index in W, a lifted sample at time
+    ``t[row]`` when ``t`` is given: OriginExcludedError for a REFUSED zero
+    task, NonGenericSegmentError for another REFUSED row, else
+    SectionSolveError (ExtremalSolveError on layers 0 and n).
+    """
+    if not status.any():   # SOLVED is 0
+        return
+    k = int(np.flatnonzero(status)[0])
+    row = first_row + k
+    t_row = None if t is None else float(t[row])
+    if status[k] == REFUSED:
+        where = row_label(row, t_row)
+        if not np.any(W[k]):
+            raise OriginExcludedError(f"zero task at {where} has no preimage "
+                                      f"on transitional layer {layer}")
+        raise NonGenericSegmentError(
+            f"the fiber of {where} (w = {W[k]}) skips layer {layer}: its "
+            "bounding crossings lie within the rounding bound of lambda*")
+    if status[k] == NO_CONVERGENCE:
+        reason = f"no convergence in {NEWTON_MAX_ITER} Newton steps"
+    else:
+        reason = ("the state has a zero, subnormal or non-finite component "
+                  "(the leaf point lies outside the float64 range)")
+    error = ExtremalSolveError if layer in (0, model.n) else SectionSolveError
+    raise error(row, W[k], reason, t=t_row)
+
+
+def layer_point(model: AllocationModel, w, layer: int, C: float) -> SectionPoint:
+    """The batch-of-one :func:`layer_section`: the state of task w on the leaf
+    C in a layer-``layer`` orthant.  A failed row raises its typed error."""
+    W = np.atleast_1d(np.asarray(w, dtype=float))[None, :]
+    V, lam, status = layer_section(model, W, layer, C)
+    raise_for_status(model, W, layer, status)
+    sig = classify_orthant(model, np.where(V[0] > 0, 1, -1))
+    return SectionPoint(v=V[0], lam=float(lam[0]), C=C, orthant=sig,
+                        layer=sig.layer)
+
+
 def section_intersection(model: AllocationModel, w, segment: int, C: float,
                          trace: FiberTrace | None = None) -> SectionPoint:
     """Solve C_w(lambda) = C on one open fiber segment.
 
-    ``segment`` indexes the sorted open intervals between distinct crossings,
-    0 through k (k = number of distinct crossings); for a generic fiber
-    segment l lies in a layer-l orthant.  Every segment admits every real C.
-    The unbounded end segments are solved by :func:`extremal_section`.
-
-    On a bounded segment the root is isolated by bisection to relative width
-    1e-12, then polished with a few Newton steps using the analytic slope,
-    rejecting any step that leaves the bracket.
+    ``segment`` indexes the sorted open intervals between the distinct
+    crossings of ``trace``, 0 through k (k = number of distinct crossings).
+    Segment l lies in the layer given by the number of crossings below it, l
+    for a generic fiber, and every segment admits every real C.  The solve is
+    :func:`layer_point` on that layer.
     """
     w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
-    if not math.isfinite(C):
-        raise ValueError("target potential level must be finite")
     if trace is None:
         trace = crossing_parameters(model, w)
-    segs = fiber_segments(model, trace)
-    if not 0 <= segment < len(segs):
+    segments = len(trace.distinct_crossings) + 1
+    if not 0 <= segment < segments:
         raise NonGenericSegmentError(
-            f"segment {segment} out of range: fiber has {len(segs)} segments "
+            f"segment {segment} out of range: fiber has {segments} segments "
             f"({trace.skipped_orthants} orthants skipped by merged crossings)")
-    if segment in (0, len(segs) - 1):
-        branch = "positive" if segment else "negative"
-        V, lam = extremal_section(model, w[None, :], C, branch)
-        sig = extremal_signature(model, branch)
-        return SectionPoint(v=V[0], lam=float(lam[0]), C=C, orthant=sig,
-                            layer=sig.layer)
-    lo, hi = segs[segment]
-
-    def cw(lam):
-        return potential_along_fiber(model, w, lam).value
-
-    # Establish a bracket [a, b] with cw(a) <= C <= cw(b).  When the root sits
-    # closer to a crossing than float64 can resolve in lambda, the bracketing
-    # helpers raise and the split closed form at that crossing takes over.
-    width = hi - lo
-    if width <= 4.0 * EPS * (abs(lo) + abs(hi) + 1.0):
-        raise NonGenericSegmentError(
-            f"segment {segment} has zero width (merged crossings)")
-    try:
-        a = _approach_inside(cw, lo, hi, C, from_left=True)
-    except NoBracketError:
-        return _split_edge_solution(model, trace, segment - 1, "above", C)
-    try:
-        b = _approach_inside(cw, lo, hi, C, from_left=False)
-    except NoBracketError:
-        return _split_edge_solution(model, trace, segment, "below", C)
-
-    lam = _bisect_polish(model, w, cw, a, b, C)
-    # near a crossing the lambda granularity floors the residual; if the
-    # polished root is both inaccurate and crossing-adjacent, the split
-    # closed form at that crossing recovers full accuracy
-    res = cw(lam)
-    if not math.isfinite(res) or abs(res - C) > 1e-9 * (1.0 + abs(C)):
-        dists = [abs(lam - ls) for ls, _ in trace.distinct_crossings]
-        ci = int(np.argmin(dists))
-        lam_star = trace.distinct_crossings[ci][0]
-        if dists[ci] <= 1e-6 * (1.0 + abs(lam_star)):
-            side = "above" if lam >= lam_star else "below"
-            try:
-                return _split_edge_solution(model, trace, ci, side, C)
-            except NoBracketError:
-                pass
-    p = fiber_point(model, w, lam)
-    sig = classify_orthant(model, np.where(p.v > 0, 1, -1))
-    return SectionPoint(v=p.v, lam=lam, C=C, orthant=sig, layer=sig.layer)
-
-
-def _split_edge_solution(model, trace, crossing_index, side, C) -> SectionPoint:
-    """Closed-form root when it lies unresolvably close to a crossing.
-
-    On the segment side where C_w diverges, the vanishing components are
-    exactly linear, u_i = +/- b_i * delta, so C_w(delta) = F + coef * ln(delta)
-    + offset + O(delta) with F frozen at the crossing.  Solving for ln(delta)
-    recovers states whose smallest |v_i| lies far below the lambda resolution
-    (the O(delta) term is negligible precisely in that regime).
-    """
-    lam_star, idx = trace.distinct_crossings[crossing_index]
-    sgn = 1.0 if side == "above" else -1.0
-    coef = offset = 0.0
-    for i in idx:
-        s = math.copysign(1.0, model.b[i]) * sgn
-        coef += 0.5 * model.b[i] * s
-        offset += 0.5 * model.b[i] * s * math.log(abs(model.b[i]))
-
-    # first pass freezes the surviving components at the crossing; the second
-    # re-evaluates them at the recovered offset, shrinking the O(delta) error
-    # in both C and the reconstructed task to O(delta^2)
-    delta = 0.0
-    for _ in range(2):
-        u = trace.z + (lam_star + sgn * delta) * model.b
-        frozen = sum(
-            0.5 * model.b[i] * math.copysign(1.0, u[i]) * math.log(abs(u[i]))
-            for i in range(model.n) if i not in idx)
-        log_delta = (C - frozen - offset) / coef
-        delta = math.exp(min(log_delta, 700.0))
-        if delta > 1e-8 * (1.0 + abs(lam_star)):
-            # the root is representable in lambda; bracketing should have found it
-            raise NoBracketError(C)
-    v = np.empty(model.n)
-    for i in range(model.n):
-        if i in idx:
-            s = math.copysign(1.0, model.b[i]) * sgn
-            v[i] = s * math.exp(0.5 * (math.log(abs(model.b[i])) + log_delta))
-        else:
-            v[i] = math.copysign(math.sqrt(abs(u[i])), u[i])
-    lam = lam_star + sgn * delta
-    sig = classify_orthant(model, np.where(v > 0, 1, -1))
-    return SectionPoint(v=v, lam=lam, C=C, orthant=sig, layer=sig.layer)
-
-
-def _approach_inside(cw, lo, hi, C, from_left):
-    """Shrink toward one endpoint of a bounded segment until C_w straddles C."""
-    width = hi - lo
-    frac = 0.25
-    for _ in range(200):
-        lam = (lo + frac * width) if from_left else (hi - frac * width)
-        val = cw(lam)
-        if math.isfinite(val) and ((val < C) if from_left else (val > C)):
-            return lam
-        frac *= 0.5
-    raise NoBracketError(C)  # divergence guaranteed; loop exhaustion is numeric
-
-
-def _bisect_polish(model, w, cw, a, b, C):
-    """Bisection to relative width BISECT_RTOL, then slope-refined polish."""
-    if a > b:
-        a, b = b, a
-    width0 = b - a
-    while b - a > BISECT_RTOL * width0:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        val = cw(mid)
-        if not math.isfinite(val):
-            break  # mid landed on a crossing within eps_zero; bracket is final
-        if val < C:
-            a = mid
-        else:
-            b = mid
-    lam = 0.5 * (a + b)
-    for _ in range(3):
-        try:
-            val = cw(lam)
-            step = (C - val) / potential_slope(model, w, lam)
-        except CrossingStateError:
-            break
-        cand = lam + step
-        if not (a < cand < b):
-            break
-        lam = cand
-    return lam
+    layer = sum(len(idx) for _, idx in trace.distinct_crossings[:segment])
+    return layer_point(model, w, layer, C)

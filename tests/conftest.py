@@ -28,15 +28,21 @@ def m3bal():
     return build_model([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
 
 
+#: Draws random_model makes before it gives up.
+RANDOM_MODEL_TRIES = 100
+
+
 def random_model(rng, n, min_b=0.05):
     """Random valid model of kinetic dimension n with a well-separated b.
 
     Rejects draws whose null-space generator has a component below ``min_b``
-    so downstream solves stay well-conditioned across the whole suite.
+    so downstream solves stay well-conditioned across the whole suite.  Raises
+    ValueError after RANDOM_MODEL_TRIES rejected draws: wide models (n of
+    about 40 and more at min_b = 0.05) almost never qualify.
     """
     from fiberalloc.errors import FiberAllocError
 
-    while True:
+    for _ in range(RANDOM_MODEL_TRIES):
         A = rng.normal(size=(n - 1, n))
         try:
             model = build_model(A)
@@ -44,6 +50,8 @@ def random_model(rng, n, min_b=0.05):
             continue
         if np.min(np.abs(model.b)) >= min_b:
             return model
+    raise ValueError(f"no model with n = {n} and min |b_i| >= min_b = {min_b} "
+                     f"in {RANDOM_MODEL_TRIES} draws")
 
 
 def model_with_b(b):

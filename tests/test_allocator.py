@@ -12,16 +12,21 @@ from fiberalloc import (
     NonGenericSegmentError,
     OriginExcludedError,
     SectionInverseConfig,
+    SectionSolveError,
     WrongShapeError,
     actuation,
+    crossing_parameters,
     extremal_inverse,
     extremal_inverse_batch,
+    layer_section,
     lift_trajectory,
     naive_minimum_norm_inverse,
     potential,
+    raise_for_status,
     section_inverse,
     smoothness_probe,
 )
+from fiberalloc.potential import SOLVED
 from conftest import assert_on_leaf, log_potential, model_with_b, random_model
 
 SQRT2 = math.sqrt(2.0)
@@ -218,6 +223,96 @@ class TestSectionInverse:
         np.testing.assert_allclose(sp.v, v_near, rtol=1e-6)
 
 
+    def test_layer_between_crossings_closer_than_eps_gap(self, m3):
+        # crossings 1e-9 apart: crossing_parameters merges them (EPS_GAP), so
+        # layer 1 was refused, but w resolves them far above rounding noise
+        lam_star, lam = np.array([0.0, 1e-9, 1.0]), 5e-10
+        u = m3.b * (lam - lam_star)
+        v = np.sign(u) * np.sqrt(np.abs(u))
+        w = actuation(m3, v)
+        C = float(log_potential(m3, v)[0])
+        assert not crossing_parameters(m3, w).generic
+        sp, _ = section_inverse(m3, w, SectionInverseConfig(layer=1, C=C))
+        assert sp.layer == 1
+        assert tuple(sp.orthant.sigma) == tuple(np.sign(v).astype(int))
+        assert_on_leaf(m3, sp.v, w, C)
+
+
+class TestBoundedSectionSolve:
+    """layer_section on transitional layers, and its batch-of-one wrappers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 8),
+           model_seed=st.integers(0, 2**32 - 1),
+           decades=st.sampled_from([1.0, 6.0, 30.0, 100.0]))
+    def test_known_states(self, data, n, model_seed, decades):
+        # states built first, tasks and levels derived from them, so a
+        # representable answer exists for every draw
+        rng = np.random.default_rng(model_seed)
+        m = random_model(rng, n)
+        layer = data.draw(st.integers(1, n - 1))
+        entered = np.zeros(n, dtype=bool)
+        entered[rng.choice(n, size=layer, replace=False)] = True
+        exps = np.array(data.draw(st.lists(
+            st.floats(-decades, decades), min_size=n, max_size=n)))
+        v = np.where(entered, 1.0, -1.0) * np.sign(m.b) * 10.0 ** exps
+        # more states on the same leaf and orthant, plus a NaN and an inf task
+        d = rng.normal(scale=3.0, size=(3, n))
+        ab = np.abs(m.b)
+        d -= np.outer(d @ ab, ab) / (ab @ ab)
+        V0 = np.vstack([v, v * np.exp(d)])
+        W = np.vstack([(V0 * np.abs(V0)) @ m.A.T, np.full((2, m.m), np.nan)])
+        W[-1] = np.inf
+        C = float(log_potential(m, v)[0])
+        V, _, status = layer_section(m, W, layer, C)
+        config = SectionInverseConfig(layer=layer, C=C)
+        solved = status == SOLVED
+        assert not solved[-2:].any()
+        if solved.any():
+            assert_on_leaf(m, V[solved], W[solved], C)
+            entered_out = np.sign(V[solved]) * np.sign(m.b) > 0
+            assert np.all(entered_out.sum(axis=1) == layer)
+        for k in range(len(W)):
+            if solved[k]:
+                assert np.array_equal(section_inverse(m, W[k], config)[0].v, V[k])
+                continue
+            # a failed row is named, in the batch and as a batch of one
+            errors = (NonGenericSegmentError, SectionSolveError)
+            with pytest.raises(errors, match=f"row {k}\\b"):
+                raise_for_status(m, W[k:], layer, status[k:], first_row=k)
+            with pytest.raises(errors, match="row 0"):
+                section_inverse(m, W[k], config)
+
+    @pytest.mark.parametrize("C", [-2000.0, 2000.0])
+    def test_unrepresentable_state_names_the_row(self, m3, C):
+        W = np.array([[1.0, 0.5], [2.0, -1.0]])
+        _, _, status = layer_section(m3, W, 1, C)
+        with pytest.raises(SectionSolveError, match="float64 range") as exc:
+            raise_for_status(m3, W, 1, status)
+        assert exc.value.row == 0
+        assert not isinstance(exc.value, ExtremalSolveError)
+
+    def test_iteration_cap_names_the_row(self, m3, monkeypatch):
+        monkeypatch.setattr(import_module("fiberalloc.potential"),
+                            "NEWTON_MAX_ITER", 1)
+        with pytest.raises(SectionSolveError, match="Newton") as exc:
+            section_inverse(m3, [3.0, -1.0], SectionInverseConfig(layer=2, C=7.0))
+        assert exc.value.row == 0
+        assert np.array_equal(exc.value.w, [3.0, -1.0])
+
+    def test_layers_0_and_n_are_the_extremal_inverse(self, m3):
+        W = np.array([[1.0, 0.5], [0.0, 0.0], [-3.0, 2.0]])
+        for layer, branch in ((0, "negative"), (3, "positive")):
+            V, _, status = layer_section(m3, W, layer, 0.4)
+            assert np.all(status == SOLVED)
+            assert np.array_equal(V, extremal_inverse_batch(m3, W, 0.4, branch))
+
+    @pytest.mark.parametrize("layer, C", [(-1, 0.0), (4, 0.0), (1, math.inf)])
+    def test_bad_layer_or_level_is_refused(self, m3, layer, C):
+        with pytest.raises(ValueError):
+            layer_section(m3, [[1.0, 0.5]], layer, C)
+
+
 class TestNaiveInverse:
     def test_examples(self, m2):
         np.testing.assert_allclose(naive_minimum_norm_inverse(m2, [2.0]), [1, 1])
@@ -282,6 +377,16 @@ class TestLiftTrajectory:
             for v, k in zip(lift.v, lift.masks):
                 assert [k >> i & 1 for i in range(70)] == list(v > 0)
         assert lift_trajectory(m, t, W, "extremal").signature_changes == 0
+
+    def test_section_error_names_sample_and_time(self, m3):
+        t = np.linspace(0.0, 1.0, 6)
+        W = np.tile([1.0, 0.5], (6, 1))
+        W[3, 1] = np.nan
+        with pytest.raises(SectionSolveError, match=r"sample 3 \(t = 0\.6\)") as exc:
+            lift_trajectory(m3, t, W, "section",
+                            config=SectionInverseConfig(layer=1))
+        assert exc.value.row == 3
+        assert exc.value.t == t[3]
 
     def test_section_through_origin_reports_sample(self, m2):
         t = np.linspace(-1.0, 1.0, 21)  # crosses w = 0 at t = 0

@@ -6,7 +6,9 @@ from importlib import import_module
 import numpy as np
 import pytest
 
+from fiberalloc import build_model, classify_orthant
 from fiberalloc.cli import main
+from conftest import assert_on_leaf
 
 
 @pytest.fixture()
@@ -78,6 +80,23 @@ class TestFoliation:
             _, header, rows = read_csv(out / f"foliation_C{tag}.csv")
             assert rows, "level set came out empty"
             assert header[:3] == ["v_1", "v_2", "v_3"]
+
+    def test_states_below_eps_zero_pass_the_self_check(self, model_file,
+                                                       tmp_path):
+        # layer-1 states at C = -20 have a component near 1e-22; a self-check
+        # that cut Phi off at eps_zero = 1e-12 aborted the command here
+        out = tmp_path / "fol"
+        assert main(["foliation", "--model", model_file, "--out", str(out),
+                     "--layer", "1", "--C=-20", "--grid", "4", "--seed", "0"]) == 0
+        _, _, rows = read_csv(out / "foliation_C-20.csv")
+        assert len(rows) == 4 * 5
+        V = np.array([[float(x) for x in r[:3]] for r in rows])
+        W = np.array([[float(x) for x in r[5:]] for r in rows])
+        assert np.min(np.abs(V)) < 1e-20
+        model = build_model([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        assert_on_leaf(model, V, W, -20.0)
+        for r, v in zip(rows, V):
+            assert r[4] == str(classify_orthant(model, np.sign(v)))
 
     def test_reproducible(self, model_file, tmp_path):
         outs = []

@@ -49,6 +49,11 @@ class TestBuildModel:
         for n in range(2, 8):
             assert random_model(rng, n).b[0] > 0
 
+    def test_random_model_gives_up_on_wide_models(self):
+        # a unit 70-vector almost always has a component below 0.05
+        with pytest.raises(ValueError, match=r"n = 70 .* min_b = 0\.05"):
+            random_model(np.random.default_rng(13), 70)
+
     def test_null_space_quality(self):
         rng = np.random.default_rng(11)
         for n in range(2, 9):

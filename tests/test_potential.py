@@ -18,7 +18,7 @@ from fiberalloc import (
     potential_slope,
     section_intersection,
 )
-from conftest import random_model
+from conftest import assert_on_leaf, random_model
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
@@ -185,6 +185,16 @@ class TestSectionIntersection:
                 sp = section_intersection(m, w, seg, C, trace=tr)
                 assert np.array_equal(sp.v, extremal_inverse(m, w, C, branch))
                 assert sp.layer == (m.n if branch == "positive" else 0)
+
+    def test_segment_after_merged_crossings_is_on_their_layer(self, m3):
+        # crossings 0 and 1e-9 merge in the trace: segment 1 lies in layer 2
+        w = m3.A @ (m3.b * (0.5 - np.array([0.0, 1e-9, 1.0])))
+        tr = crossing_parameters(m3, w)
+        assert [len(idx) for _, idx in tr.distinct_crossings] == [2, 1]
+        sp = section_intersection(m3, w, 1, 0.3, trace=tr)
+        assert sp.layer == 2
+        assert tr.distinct_crossings[0][0] < sp.lam < tr.distinct_crossings[1][0]
+        assert_on_leaf(m3, sp.v, w, 0.3)
 
     def test_reproducible_to_1e10(self, m2):
         a = section_intersection(m2, [1.7], 1, 0.4).lam
