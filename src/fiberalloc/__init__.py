@@ -40,8 +40,6 @@ from .fibers import (
 )
 from .model import (
     AllocationModel,
-    KineticState,
-    Task,
     actuation,
     build_model,
     jacobian,
@@ -70,7 +68,6 @@ from .strata import (
     enumerate_layer,
     extremal_signature,
     hinge_count,
-    hinge_count_alt,
     layer_adjacency_graph,
     reciprocal_hinges,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfinementError, WrongShapeError
-from .model import AllocationModel, Task, untransform
+from .model import AllocationModel, untransform
 from .potential import SectionPoint, layer_point, layer_section, raise_for_status
 from .strata import orthant_masks
 
@@ -73,7 +73,7 @@ def extremal_inverse(model: AllocationModel, w, C: float = 0.0,
     +/- sign(b) strictly, for every finite w including 0 wherever that v is
     representable in float64: the batch-of-one :func:`extremal_inverse_batch`.
     """
-    w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     return extremal_inverse_batch(model, w[None, :], C, branch)[0]
 
 
@@ -117,8 +117,7 @@ def section_inverse(model: AllocationModel, w,
     and results with min|v_i| under the hinge margin carry a HingeProximity
     report naming the two smallest components.
     """
-    w_arr = w.w if isinstance(w, Task) else w
-    sp = layer_point(model, w_arr, config.layer, config.C)
+    sp = layer_point(model, w, config.layer, config.C)
 
     report = None
     if 0 < config.layer < model.n:
@@ -137,7 +136,7 @@ def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
     This is the lambda = 0 fiber point.  It crosses coordinate hyperplanes as
     w varies, with an inverse-square-root derivative blow-up at each crossing.
     """
-    w_arr = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     return untransform(model.A_pinv @ w_arr)
 
 

@@ -59,10 +59,6 @@ _SOLVER_ERRORS = (NonGenericSegmentError, OriginExcludedError,
                   ConfinementError)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 @contextmanager
 def _csv_file(path: Path, header: list[str], seed):
     """Open a CSV output and write its comment line and header row."""
@@ -73,36 +69,33 @@ def _csv_file(path: Path, header: list[str], seed):
         yield fh
 
 
-def _write_csv(path: Path, header: list[str], rows, seed) -> None:
-    with _csv_file(path, header, seed) as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
+               model: AllocationModel | None = None,
+               masks: np.ndarray | None = None, at: int | None = None) -> None:
+    """Float rows, and optionally orthant signatures, as csv.writer writes them.
 
-
-def _mask_labels(model: AllocationModel, masks: np.ndarray) -> dict:
-    """Orthant-signature text of every distinct mask (bit i set when v_i > 0)."""
-    return {k: str(classify_orthant(model, [1 if k >> i & 1 else -1
-                                            for i in range(model.n)]))
-            for k in set(masks.tolist())}
-
-
-def _write_lift_csv(path: Path, header: list[str], values: np.ndarray,
-                    masks: np.ndarray, model: AllocationModel,
-                    seed) -> None:
-    """Float rows plus a quoted orthant-signature column, as _write_csv writes them.
-
-    Rows are formatted a chunk at a time with one %-format each, and every
-    distinct mask is turned into its label once.
+    Floats get 17 significant digits.  With ``masks``, row k also gets the
+    orthant signature of ``masks[k]`` (bit i set when v_i > 0), quoted (its
+    commas make csv.writer quote it), before column ``at`` of ``values``
+    (after the last one when ``at`` is None).  Each distinct mask is
+    classified once, into a row format of its own, and rows are formatted
+    CSV_CHUNK_ROWS at a time, with one %-format each.
     """
-    fmt = ",".join(["%.17g"] * values.shape[1]) + ',"%s"\r\n'
-    label = _mask_labels(model, masks)
+    cols = ["%.17g"] * values.shape[1]
+    at = len(cols) if at is None else at
+    if masks is None:
+        keys, fmt = [None] * len(values), {None: ",".join(cols) + "\r\n"}
+    else:
+        keys, fmt = masks.tolist(), {}
+        for k in set(keys):
+            text = classify_orthant(model, [1 if k >> i & 1 else -1
+                                            for i in range(model.n)])
+            fmt[k] = ",".join(cols[:at] + [f'"{text}"'] + cols[at:]) + "\r\n"
     with _csv_file(path, header, seed) as fh:
         for lo in range(0, len(values), CSV_CHUNK_ROWS):
             hi = lo + CSV_CHUNK_ROWS
-            fh.write("".join(
-                fmt % (*row, label[k])
-                for row, k in zip(values[lo:hi].tolist(), masks[lo:hi].tolist())))
+            fh.write("".join(fmt[k] % tuple(row) for row, k in
+                             zip(values[lo:hi].tolist(), keys[lo:hi])))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -127,23 +120,26 @@ def cmd_fibers(args) -> int:
     tasks = [_parse_vector(tok) for tok in args.w]
     lam_grid = np.linspace(args.lam_min, args.lam_max, args.samples)
 
-    def rows_for(w):
+    def table(w) -> np.ndarray:
         trace = crossing_parameters(model, w)
         lams = sorted(set(lam_grid.tolist()))
         marks = {lam for lam, _ in trace.crossings
                  if args.lam_min <= lam <= args.lam_max}
         all_lams = sorted(set(lams) | marks)
+        rows = []
         for lam in all_lams:
             p = fiber_point(model, w, lam)
             werr = np.max(np.abs(actuation(model, p.v) - w))
             if werr > SELF_CHECK_TOL * (1.0 + np.max(np.abs(w))):
                 raise AssertionError(f"self-check failed: |f(v) - w| = {werr:g}")
-            yield [float(lam), *map(float, p.v), int(lam in marks)]
+            # is_crossing 0.0 or 1.0 is written "0" or "1"
+            rows.append([lam, *p.v, float(lam in marks)])
+        return np.array(rows, dtype=float).reshape(-1, model.n + 2)
 
     header = ["lambda"] + [f"v_{i+1}" for i in range(model.n)] + ["is_crossing"]
     for k, w in enumerate(tasks):
-        _write_csv(out / f"fiber_{k}.csv", header, rows_for(w), args.seed)
-    _write_csv(out / "central_fiber.csv", header, rows_for(np.zeros(model.m)),
+        _write_csv(out / f"fiber_{k}.csv", header, table(w), args.seed)
+    _write_csv(out / "central_fiber.csv", header, table(np.zeros(model.m)),
                args.seed)
     print(f"wrote {len(tasks)} fiber polylines + central fiber to {out}")
     return 0
@@ -181,11 +177,9 @@ def cmd_foliation(args) -> int:
         if np.any(err > SELF_CHECK_TOL):
             raise AssertionError(
                 f"self-check failed: |Phi(v) - C| = {err.max():g}")
-        masks = orthant_masks(V_ok)
-        label = _mask_labels(model, masks)
-        rows = [[*v, float(C), label[k], *w] for v, k, w in
-                zip(V_ok.tolist(), masks.tolist(), W_ok.tolist())]
-        _write_csv(out / f"foliation_C{C:g}.csv", header, rows, args.seed)
+        values = np.column_stack([V_ok, np.full(len(V_ok), C), W_ok])
+        _write_csv(out / f"foliation_C{C:g}.csv", header, values, args.seed,
+                   model, orthant_masks(V_ok), at=model.n + 1)
     print(f"wrote {len(args.C)} level-set point clouds to {out}")
     return 0
 
@@ -247,8 +241,8 @@ def cmd_lift(args) -> int:
     header = ["t"] + [f"v_{i+1}" for i in range(model.n)] + \
         ["speed", "min_abs_v", "signature"]
     values = np.column_stack([t, lifted.v, lifted.speed, lifted.min_abs_v])
-    _write_lift_csv(out / f"lift_{args.allocator}.csv", header, values,
-                    lifted.masks, model, args.seed)
+    _write_csv(out / f"lift_{args.allocator}.csv", header, values, args.seed,
+               model, lifted.masks)
     summary = {
         "allocator": args.allocator,
         "samples": len(t),
@@ -262,25 +256,11 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fiberalloc",
-        description="Fiber geometry and singularity-free allocation for "
-                    "signed-quadratic actuation maps.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--model", required=True, help="JSON model file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("validate", help="check model assumptions")
-    common(p)
+def _validate_args(p) -> None:
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("fibers", help="sample fiber polylines to CSV")
-    common(p)
+
+def _fibers_args(p) -> None:
     p.add_argument("--w", action="append", required=True,
                    help="task vector, comma-separated (repeatable)")
     p.add_argument("--lam-min", type=float, default=-10.0)
@@ -288,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=400)
     p.set_defaults(func=cmd_fibers)
 
-    p = sub.add_parser("foliation", help="sample potential level sets to CSV")
-    common(p)
+
+def _foliation_args(p) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--layer", type=int)
     group.add_argument("--orthant", help='signature like "+,-,+"')
@@ -299,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitudes", default="0.25,0.5,1,2,4")
     p.set_defaults(func=cmd_foliation)
 
-    p = sub.add_parser("strata", help="export layer graph (JSON + DOT)")
-    common(p)
+
+def _strata_args(p) -> None:
     p.add_argument("--layer", type=int, required=True)
     p.set_defaults(func=cmd_strata)
 
-    p = sub.add_parser("invert", help="invert a single task")
-    common(p)
+
+def _invert_args(p) -> None:
     p.add_argument("--w", required=True)
     p.add_argument("--C", type=float, default=0.0)
     p.add_argument("--layer", type=int, default=None)
@@ -313,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="positive")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("lift", help="lift a task trajectory CSV")
-    common(p)
+
+def _lift_args(p) -> None:
     p.add_argument("--trajectory", required=True,
                    help="CSV with header t, w_1..w_m")
     p.add_argument("--allocator", choices=["extremal", "section", "naive"],
@@ -324,11 +304,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=["positive", "negative"],
                    default="positive")
     p.set_defaults(func=cmd_lift)
+
+
+#: subcommand -> (help text, function adding its own arguments and handler).
+#: The handler is read from the module when a parser is built, so a wrapper
+#: put in place of ``cmd_*`` is the one that runs.
+COMMANDS = {
+    "validate": ("check model assumptions", _validate_args),
+    "fibers": ("sample fiber polylines to CSV", _fibers_args),
+    "foliation": ("sample potential level sets to CSV", _foliation_args),
+    "strata": ("export layer graph (JSON + DOT)", _strata_args),
+    "invert": ("invert a single task", _invert_args),
+    "lift": ("lift a task trajectory CSV", _lift_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand or with ``command``'s alone.
+
+    A one-command parser parses that command's argv as the full one does,
+    and its usage line still lists every command.  Its subcommand metavar
+    would change two of the full parser's errors (a missing and an invalid
+    command), so the full parser keeps argparse's default.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fiberalloc",
+        description="Fiber geometry and singularity-free allocation for "
+                    "signed-quadratic actuation maps.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--model", required=True, help="JSON model file")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--seed", type=int, default=0)
+        add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argv[0]'s subcommand alone; help, --version and a missing or unknown
+    # command get the full parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except _SOLVER_ERRORS as exc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AllocationModel, Task, untransform
+from .model import AllocationModel, untransform
 from .strata import OrthantSignature, classify_orthant
 
 #: Crossings closer than this (relative to the crossing spread) are merged.
@@ -55,7 +55,7 @@ class FiberTrace:
 
 def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:
     """Evaluate gamma(w, lambda) and its parametric tangent."""
-    w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     z = model.A_pinv @ w
     x = z + lam * model.b
     absx = np.abs(x)
@@ -77,7 +77,7 @@ def crossing_parameters(model: AllocationModel, w,
     Signatures are read off at interval midpoints (end intervals one unit past
     the outermost crossing) so no sign is ever evaluated on a boundary.
     """
-    w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     z = model.A_pinv @ w
     lam_star = -z / model.b
     order = np.argsort(lam_star)

@@ -6,7 +6,7 @@ full row rank, and a null-space generator b whose components are all nonzero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,34 +59,6 @@ class AllocationModel:
     @property
     def n(self) -> int:
         return self.A.shape[1]
-
-
-@dataclass(frozen=True)
-class KineticState:
-    """An n-vector of actuator internal states."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if not np.all(np.isfinite(self.v)):
-            raise ValueError("kinetic state has non-finite entries")
-
-    def is_regular(self, eps_zero: float = EPS_ZERO) -> bool:
-        """True when every component is bounded away from its hyperplane."""
-        return bool(np.all(np.abs(self.v) > eps_zero))
-
-
-@dataclass(frozen=True)
-class Task:
-    """An m-vector of task-space outputs."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.atleast_1d(np.asarray(self.w, dtype=float)))
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("task has non-finite entries")
 
 
 def build_model(A, rank_rtol: float = RANK_RTOL, b_rtol: float = B_RTOL,
@@ -166,11 +138,11 @@ def untransform(x) -> np.ndarray:
 
 def actuation(model: AllocationModel, v) -> np.ndarray:
     """Forward map w = A (v .* |v|)."""
-    v = v.v if isinstance(v, KineticState) else np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
     return model.A @ transform(v)
 
 
 def jacobian(model: AllocationModel, v) -> np.ndarray:
     """Jacobian of the forward map, 2 A diag(|v_1|, ..., |v_n|)."""
-    v = v.v if isinstance(v, KineticState) else np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
     return 2.0 * model.A * np.abs(v)[np.newaxis, :]

@@ -42,7 +42,7 @@ from .errors import (
     row_label,
 )
 from .fibers import FiberTrace, crossing_parameters
-from .model import AllocationModel, Task
+from .model import AllocationModel
 from .strata import OrthantSignature, classify_orthant
 
 #: Newton steps allowed per row of a section solve (a handful suffice).
@@ -132,7 +132,7 @@ def potential_along_fiber(model: AllocationModel, w, lam: float) -> PotentialVal
     Evaluated directly in transformed coordinates with the 1/2 factor from the
     square-root transform: (1/2) sum b_i sign(u_i) ln|u_i| with u = z + lambda b.
     """
-    w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     u = model.A_pinv @ w + lam * model.b
     value, idx, indet = _signed_log_sum(model.b, u, model.eps_zero,
                                         entry_signs=np.sign(model.b))
@@ -142,7 +142,7 @@ def potential_along_fiber(model: AllocationModel, w, lam: float) -> PotentialVal
 
 def potential_slope(model: AllocationModel, w, lam: float) -> float:
     """d C_w / d lambda = sum b_i^2 / (2 v_i^2); strictly positive."""
-    w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     u = model.A_pinv @ w + lam * model.b
     absu = np.abs(u)
     if np.any(absu <= model.eps_zero):
@@ -389,7 +389,7 @@ def section_intersection(model: AllocationModel, w, segment: int, C: float,
     for a generic fiber, and every segment admits every real C.  The solve is
     :func:`layer_point` on that layer.
     """
-    w = w.w if isinstance(w, Task) else np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     if trace is None:
         trace = crossing_parameters(model, w)
     segments = len(trace.distinct_crossings) + 1

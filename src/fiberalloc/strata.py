@@ -156,13 +156,6 @@ def hinge_count(n: int, l: int) -> int:
     return comb(n, l) * l * (n - l) // 2
 
 
-def hinge_count_alt(n: int, l: int) -> int:
-    """Equivalent closed form C(n,2) * C(n-2, l-1)."""
-    if l < 1 or l > n - 1:
-        return 0
-    return comb(n, 2) * comb(n - 2, l - 1)
-
-
 def reciprocal_hinges(model: AllocationModel, l: int) -> list[StratumDescriptor]:
     """All reciprocal hinges of layer l.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fiberalloc import build_model, classify_orthant
-from fiberalloc.cli import main
+from fiberalloc.cli import COMMANDS, build_parser, main
 from conftest import assert_on_leaf
 
 
@@ -32,6 +32,28 @@ def read_csv(path):
         header = next(reader)
         rows = list(reader)
     return comment, header, rows
+
+
+def assert_csv_writer_bytes(path, text_col=None):
+    """A comment line, then the bytes csv.writer writes for the header and
+    rows with every float at %.17g: \r\n endings, the text column quoted."""
+    comment, header, rows = read_csv(path)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for r in rows:
+        writer.writerow([x if j == text_col else f"{float(x):.17g}"
+                         for j, x in enumerate(r)])
+    assert path.read_bytes() == (comment + text.getvalue()).encode()
+    return comment, rows
+
+
+def run_cli(parse, argv, capsys):
+    """(exit code, stdout, stderr) of one call that exits through argparse."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
 
 
 class TestValidate:
@@ -67,6 +89,15 @@ class TestFibers:
         for r in marked:
             assert min(abs(float(r[1])), abs(float(r[2]))) == 0.0
         assert (out / "central_fiber.csv").exists()
+
+    def test_csv_format(self, model2_file, tmp_path):
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model2_file, "--out", str(out),
+                     "--w", "2.0", "--samples", "50", "--seed", "4"]) == 0
+        for name in ("fiber_0.csv", "central_fiber.csv"):
+            comment, rows = assert_csv_writer_bytes(out / name)
+            assert comment == "# fiberalloc 0.1.0 seed=4\n"
+            assert {r[-1] for r in rows} == {"0", "1"}
 
 
 class TestFoliation:
@@ -106,6 +137,20 @@ class TestFoliation:
                   "--layer", "3", "--C", "0.5", "--grid", "8", "--seed", "11"])
             outs.append((out / "foliation_C0.5.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_csv_format(self, model_file, tmp_path):
+        # layer 1 at C = -20 has components near 1e-22; the orthant column
+        # sits between the floats and is quoted
+        out = tmp_path / "fol"
+        assert main(["foliation", "--model", model_file, "--out", str(out),
+                     "--layer", "1", "--C=-20", "--C", "0.5", "--grid", "8",
+                     "--seed", "6"]) == 0
+        for tag in ("-20", "0.5"):
+            comment, rows = assert_csv_writer_bytes(
+                out / f"foliation_C{tag}.csv", text_col=4)
+            assert comment == "# fiberalloc 0.1.0 seed=6\n"
+            assert len(rows) == 8 * 5
+            assert {r[4] for r in rows} <= {"(+,-,+)", "(-,+,+)", "(-,-,-)"}
 
 
 class TestStrata:
@@ -213,3 +258,44 @@ class TestLift:
                    self.write_trajectory(tmp_path), "--out", str(tmp_path)])
         assert rc == 2
         assert "sample 10" in capsys.readouterr().err
+
+
+#: argv that exit inside argparse, with help, a version or a usage error
+PARSER_EXITS = [
+    [], ["-h"], ["--version"], ["--vers"], ["bogus"], ["--"], ["-h", "invert"],
+    *([name, "-h"] for name in COMMANDS),
+    ["invert"], ["invert", "--model", "m.json", "--w", "1", "--bogus"],
+    ["invert", "--model", "m.json", "--w", "1", "stray"],
+    ["strata", "--layer", "x"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_EXITS,
+                             ids=lambda argv: " ".join(argv) or "no-args")
+    def test_main_exits_as_the_full_parser(self, argv, capsys, monkeypatch):
+        # main builds only argv[0]'s subcommand when argv[0] names one
+        monkeypatch.setenv("COLUMNS", "80")
+        full = run_cli(lambda a: build_parser().parse_args(a), argv, capsys)
+        assert run_cli(main, argv, capsys) == full
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ])
+    def test_root_errors_name_the_command_argument(self, argv, message, capsys):
+        rc, _, err = run_cli(main, argv, capsys)
+        assert rc == 2
+        assert f"fiberalloc: error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--model", "m.json"],
+        ["fibers", "--model", "m.json", "--w", "1", "--w=-2", "--samples", "9"],
+        ["foliation", "--model", "m.json", "--orthant", "+,-,+", "--C", "1"],
+        ["strata", "--model", "m.json", "--layer", "2", "--seed", "3"],
+        ["invert", "--model", "m.json", "--w", "1,2", "--branch", "negative"],
+        ["lift", "--model", "m.json", "--trajectory", "t.csv", "--out", "o"],
+    ], ids=lambda argv: argv[0])
+    def test_one_command_parser_gives_the_full_namespace(self, argv):
+        one = build_parser(argv[0]).parse_args(argv)
+        assert vars(one) == vars(build_parser().parse_args(argv))
