@@ -171,7 +171,7 @@ def cmd_foliation(args) -> int:
         if sigma is not None:
             keep &= np.all((V > 0) == (sigma > 0), axis=1)
         V_ok, W_ok = V[keep], W[keep]
-        # Phi in log form: a valid state may have components far below eps_zero
+        # Phi in log form: a valid state may have components far below EPS_ZERO
         err = np.abs(np.sum(model.b * np.sign(V_ok) * np.log(np.abs(V_ok)),
                             axis=1) - C)
         if np.any(err > SELF_CHECK_TOL):

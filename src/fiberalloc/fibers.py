@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AllocationModel, untransform
+from .model import EPS_ZERO, AllocationModel, untransform
 from .strata import OrthantSignature, classify_orthant
 
 #: Crossings closer than this (relative to the crossing spread) are merged.
@@ -59,7 +59,7 @@ def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:
     z = model.A_pinv @ w
     x = z + lam * model.b
     absx = np.abs(x)
-    div = absx <= model.eps_zero
+    div = absx <= EPS_ZERO
     v = np.where(div, 0.0, untransform(x))  # snap on-crossing components exactly
     tangent = np.empty(model.n)
     tangent[~div] = model.b[~div] / (2.0 * np.sqrt(absx[~div]))
@@ -68,11 +68,10 @@ def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:
                       divergent_indices=frozenset(np.nonzero(div)[0].tolist()))
 
 
-def crossing_parameters(model: AllocationModel, w,
-                        eps_gap: float = EPS_GAP) -> FiberTrace:
+def crossing_parameters(model: AllocationModel, w) -> FiberTrace:
     """Sorted hyperplane crossings and the traversed orthant sequence.
 
-    Crossings within ``eps_gap * (spread + 1)`` of each other are merged into
+    Crossings within ``EPS_GAP * (spread + 1)`` of each other are merged into
     one multi-index crossing; the trace is generic when no merge occurs.
     Signatures are read off at interval midpoints (end intervals one unit past
     the outermost crossing) so no sign is ever evaluated on a boundary.
@@ -84,7 +83,7 @@ def crossing_parameters(model: AllocationModel, w,
     crossings = tuple((float(lam_star[i]), int(i)) for i in order)
 
     spread = float(lam_star[order[-1]] - lam_star[order[0]])
-    tol = eps_gap * (spread + 1.0)
+    tol = EPS_GAP * (spread + 1.0)
     groups: list[tuple[float, list[int]]] = []
     for lam, i in crossings:
         if groups and lam - groups[-1][0] <= tol:
@@ -118,7 +117,7 @@ def fiber_tangent_space(model: AllocationModel, v):
     proportional to c_i.
     """
     v = np.asarray(v, dtype=float)
-    halted = np.abs(v) <= model.eps_zero
+    halted = np.abs(v) <= EPS_ZERO
     if not halted.any():
         return model.b / np.abs(v)
     direction = np.where(halted, model.c, 0.0)

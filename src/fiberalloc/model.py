@@ -16,11 +16,11 @@ from .errors import (
     WrongShapeError,
 )
 
-#: Default relative singular-value cutoff for declaring full row rank.
+#: Relative singular-value cutoff for declaring full row rank.
 RANK_RTOL = 1e-10
-#: Default relative threshold on |b_i| for a degenerate redundancy check.
+#: Relative threshold on |b_i| for a degenerate redundancy check.
 B_RTOL = 1e-9
-#: Default absolute threshold below which a state component counts as halted.
+#: Absolute threshold below which a state component counts as halted.
 EPS_ZERO = 1e-12
 
 
@@ -44,7 +44,6 @@ class AllocationModel:
     A_pinv: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    eps_zero: float = EPS_ZERO
 
     def __post_init__(self):
         self.A.setflags(write=False)
@@ -61,8 +60,7 @@ class AllocationModel:
         return self.A.shape[1]
 
 
-def build_model(A, rank_rtol: float = RANK_RTOL, b_rtol: float = B_RTOL,
-                eps_zero: float = EPS_ZERO) -> AllocationModel:
+def build_model(A) -> AllocationModel:
     """Validate an allocation matrix and derive its null-space structure.
 
     The null-space generator is taken from the SVD of ``A`` (the right singular
@@ -74,10 +72,10 @@ def build_model(A, rank_rtol: float = RANK_RTOL, b_rtol: float = B_RTOL,
     WrongShapeError
         If the matrix is not m x (m+1).
     RankDeficientError
-        If the smallest retained singular value falls below ``rank_rtol`` times
+        If the smallest retained singular value falls below RANK_RTOL times
         the largest.
     DegenerateRedundancyError
-        If any |b_i| <= b_rtol * max|b| (a structurally critical actuator).
+        If any |b_i| <= B_RTOL * max|b| (a structurally critical actuator).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
@@ -87,9 +85,9 @@ def build_model(A, rank_rtol: float = RANK_RTOL, b_rtol: float = B_RTOL,
         raise WrongShapeError(f"expected m x (m+1) matrix, got {m} x {n}")
 
     U, s, Vt = np.linalg.svd(A)
-    if s[0] == 0.0 or s[m - 1] <= rank_rtol * s[0]:
+    if s[0] == 0.0 or s[m - 1] <= RANK_RTOL * s[0]:
         raise RankDeficientError(
-            f"singular values {s}: sigma_m/sigma_1 below {rank_rtol:g}"
+            f"singular values {s}: sigma_m/sigma_1 below {RANK_RTOL:g}"
         )
 
     b = Vt[m]  # right singular vector spanning ker(A)
@@ -97,18 +95,17 @@ def build_model(A, rank_rtol: float = RANK_RTOL, b_rtol: float = B_RTOL,
         b = -b
     b = b / np.linalg.norm(b)
 
-    small = np.abs(b) <= b_rtol * np.max(np.abs(b))
+    small = np.abs(b) <= B_RTOL * np.max(np.abs(b))
     if np.any(small):
         i = int(np.argmax(small))
         raise DegenerateRedundancyError(i, float(abs(b[i])))
 
     A_pinv = Vt[:m].T @ np.diag(1.0 / s[:m]) @ U.T
     c = np.sign(b) * np.sqrt(np.abs(b))
-    return AllocationModel(A=A.copy(), A_pinv=A_pinv, b=b.copy(), c=c,
-                           eps_zero=eps_zero)
+    return AllocationModel(A=A.copy(), A_pinv=A_pinv, b=b.copy(), c=c)
 
 
-def load_model(path, **tolerances) -> AllocationModel:
+def load_model(path) -> AllocationModel:
     """Load a model from a JSON file ``{"A": [[...], ...]}``."""
     with open(path) as fh:
         try:
@@ -121,7 +118,7 @@ def load_model(path, **tolerances) -> AllocationModel:
     width = {len(r) for r in rows}
     if len(width) != 1:
         raise ValueError(f"{path}: ragged matrix rows (widths {sorted(width)})")
-    return build_model(np.array(rows, dtype=float), **tolerances)
+    return build_model(np.array(rows, dtype=float))
 
 
 def transform(v) -> np.ndarray:

@@ -5,24 +5,23 @@ The potential Phi(v) = sum_i b_i sign(v_i) ln|v_i| is constant on the leaves
 of the foliation orthogonal to the fibers.  Along a fiber, u = z + lambda b
 with u_i = b_i (lambda - lambda*_i), it is strictly increasing on every open
 segment between crossings, from -inf to +inf, so each segment meets each leaf
-once.  Every segment is solved by Newton in a log-offset coordinate s:
+once.  Every segment is solved by one Newton iteration in r = ln|lambda - p|,
+p the segment's end nearer the root.  L_i = ln|lambda - lambda*_i| is
+logaddexp(ln off_i, r) for a component vanishing at p, off_i = |p -
+lambda*_i|, and on a segment of length D logaddexp(ln off_i, ln D +
+log1p(-e^(r - ln D))) for the others, off_i their offset to the far end.
+Signed to increase in r, C_w = 1/2 sum_i +-|b_i| (ln|b_i| + L_i) is a sum of
+softplus terms and terms -ln(off_i + D - e^r), so convex, with dC_w/dr = 1/2
+sum_i |b_i| e^(r - L_i): Newton from above the root descends onto it.  An
+extremal segment (the positive one; the negative one is its mirror, C -> -C,
+v -> -v) has p = lambda_max, D = inf and the start r = (C - K) / (1/2
+||b||_1), K = 1/2 sum_i |b_i| ln|b_i|, as C_w >= K + 1/2 ||b||_1 r.  A
+transitional layer's segment (lo, hi) starts at r = ln(D/2): C_w at the
+midpoint picks the half that holds the root, and p is its end.
 
-* extremal (positive; the negative one is its mirror, C -> -C, v -> -v):
-  lambda = lambda_max + e^s and a_i = lambda_max - lambda*_i >= 0 give C_w(s)
-  = K + 1/2 sum_i |b_i| logaddexp(ln a_i, s), K = 1/2 sum_i |b_i| ln|b_i|,
-  convex in s; Newton from s0 = (C - K) / (1/2 ||b||_1) descends onto the root.
-* bounded, between crossings lo < hi of a transitional layer: D = hi - lo,
-  lambda = lo + D sigma(s), and ln|u_i / b_i| = logaddexp(ln a_i, ln D + ln
-  sigma(s)) for an entered component, a_i = lo - lambda*_i, or
-  logaddexp(ln c_i, ln D + ln sigma(-s)) for an exited one, c_i = lambda*_i -
-  hi.  C_w(s) is affine at both ends, and its slope lies between mu, the
-  smaller of the two ends' sums of 1/2 |b_i| over the components vanishing
-  there, and 1/2 ||b||_1; so each evaluation brackets the root, and Newton
-  from s = 0 bisects when a step leaves the bracket.
-
-v_i = sign(u_i) sqrt|b_i| exp(1/2 ln|u_i / b_i|) is rebuilt from the logs, so
-there is no cap on lambda and no special case for roots closer to a crossing
-than lambda resolves.
+v_i = sign(u_i) sqrt|b_i| exp(1/2 L_i) is rebuilt from the logs, so there is
+no cap on lambda and no special case for roots closer to a crossing than
+lambda resolves.
 """
 from __future__ import annotations
 
@@ -42,12 +41,13 @@ from .errors import (
     row_label,
 )
 from .fibers import FiberTrace, crossing_parameters
-from .model import AllocationModel
+from .model import EPS_ZERO, AllocationModel
 from .strata import OrthantSignature, classify_orthant
 
 #: Newton steps allowed per row of a section solve (a handful suffice).
 NEWTON_MAX_ITER = 64
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+SQRT_TINY = math.sqrt(TINY)
 #: The noise bound of a crossing lambda*_i is CROSSING_RTOL * m * (|A_pinv|
 #: |w|)_i / |b_i|, 32 times its rounding bound.  Offsets to a segment's end
 #: within their bound plus the end's (the row's largest, on an extremal
@@ -86,20 +86,17 @@ class SectionPoint:
     layer: int
 
 
-def _signed_log_sum(b: np.ndarray, u: np.ndarray, eps: float,
-                    entry_signs: np.ndarray | None = None):
+def _signed_log_sum(b: np.ndarray, u: np.ndarray):
     """Evaluate sum b_i sign(u_i) ln|u_i| with divergence sentinels.
 
-    ``entry_signs`` supplies the sign to use for components that are exactly
-    zero (the orthant-entry limit, sign(b_i)).
+    Components within EPS_ZERO of 0 diverge; one exactly zero takes the sign
+    of its orthant-entry limit, sign(b_i).
     """
     absu = np.abs(u)
-    boundary = absu <= eps
+    boundary = absu <= EPS_ZERO
     if not boundary.any():
         return float(np.sum(b * np.sign(u) * np.log(absu))), frozenset(), False
-    signs = np.sign(u)
-    if entry_signs is not None:
-        signs = np.where(signs == 0, entry_signs, signs)
+    signs = np.where(u == 0, np.sign(b), np.sign(u))
     # term b_i sign(u_i) ln|u_i| -> -inf when b_i sign(u_i) > 0, +inf when < 0
     coeffs = b[boundary] * signs[boundary]
     to_minus = np.any(coeffs > 0)
@@ -113,15 +110,14 @@ def _signed_log_sum(b: np.ndarray, u: np.ndarray, eps: float,
 def potential(model: AllocationModel, v) -> PotentialValue:
     """Global potential Phi(v) = sum_i b_i sign(v_i) ln|v_i|."""
     v = np.asarray(v, dtype=float)
-    value, idx, indet = _signed_log_sum(model.b, v, model.eps_zero,
-                                        entry_signs=np.sign(model.b))
+    value, idx, indet = _signed_log_sum(model.b, v)
     return PotentialValue(value=value, boundary_indices=idx, indeterminate=indet)
 
 
 def potential_gradient(model: AllocationModel, v) -> np.ndarray:
     """Gradient of the potential, (b_i / |v_i|)_i; regular states only."""
     v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) <= model.eps_zero):
+    if np.any(np.abs(v) <= EPS_ZERO):
         raise BoundaryStateError("gradient undefined at a boundary state")
     return model.b / np.abs(v)
 
@@ -134,8 +130,7 @@ def potential_along_fiber(model: AllocationModel, w, lam: float) -> PotentialVal
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     u = model.A_pinv @ w + lam * model.b
-    value, idx, indet = _signed_log_sum(model.b, u, model.eps_zero,
-                                        entry_signs=np.sign(model.b))
+    value, idx, indet = _signed_log_sum(model.b, u)
     return PotentialValue(value=0.5 * value, boundary_indices=idx,
                           indeterminate=indet)
 
@@ -145,7 +140,7 @@ def potential_slope(model: AllocationModel, w, lam: float) -> float:
     w = np.atleast_1d(np.asarray(w, dtype=float))
     u = model.A_pinv @ w + lam * model.b
     absu = np.abs(u)
-    if np.any(absu <= model.eps_zero):
+    if np.any(absu <= EPS_ZERO):
         raise CrossingStateError(f"lambda = {lam:g} sits on a hyperplane crossing")
     return float(np.sum(model.b ** 2 / (2.0 * absu)))
 
@@ -194,10 +189,11 @@ def layer_section(model: AllocationModel, W, layer: int,
     one lies between the row's ``layer``-th and ``layer + 1``-th crossings.
     A row is REFUSED when those lie within their noise bound (CROSSING_RTOL)
     of each other, the zero task included; NO_CONVERGENCE after
-    NEWTON_MAX_ITER steps; OUT_OF_RANGE when the task is not finite or the
-    state has a zero, subnormal or non-finite component.  Raises ValueError
-    for a non-finite C or a layer outside [0, n], WrongShapeError unless W
-    has m columns.
+    NEWTON_MAX_ITER steps; OUT_OF_RANGE when the task is not finite, the
+    state has a zero, subnormal or non-finite component, or its largest v_i^2
+    underflows (max|v_i| < sqrt(TINY)), so that f(v) = w cannot be checked.
+    Raises ValueError for a non-finite C or a layer outside [0, n],
+    WrongShapeError unless W has m columns.
     """
     if not math.isfinite(C):
         raise ValueError("target potential level must be finite")
@@ -206,9 +202,9 @@ def layer_section(model: AllocationModel, W, layer: int,
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.ndim != 2 or W.shape[1] != model.m:
         raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
-    if layer in (0, model.n):
-        return extremal_section(model, W, C, 1.0 if layer else -1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if layer in (0, model.n):
+            return extremal_section(model, W, C, 1.0 if layer else -1.0)
         return _bounded_section(model, W, layer, C)
 
 
@@ -219,8 +215,7 @@ def extremal_section(model: AllocationModel, W: np.ndarray, C: float,
     ``sign`` is +1 for the positive segment (layer n), -1 for the negative one
     (layer 0); W holds rows of m tasks, as :func:`layer_section` checks.
     Returns ``(V, lam, status)``: per row the state with sign(v) = sign *
-    sign(b) strictly, its fiber parameter and its status, from the log-offset
-    Newton iteration of the module docstring.
+    sign(b) strictly, its fiber parameter and its status.
     """
     # the negative branch of (w, C) mirrors the positive branch of (-w, -C)
     lam_star = -sign * _rowwise_matvec(W, model.A_pinv) / model.b
@@ -232,28 +227,12 @@ def extremal_section(model: AllocationModel, W: np.ndarray, C: float,
     a[a <= noise + noise.max(axis=1, keepdims=True)] = 0.0
     half_b = 0.5 * np.abs(model.b)
     offset = half_b @ np.log(np.abs(model.b)) - sign * C   # K - C
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_a = np.log(a)
-        s = np.full(W.shape[0], -offset / half_b.sum())
-        active = np.arange(W.shape[0])
-        for _ in range(NEWTON_MAX_ITER):
-            if active.size == 0:
-                break
-            s_act = s[active]
-            L = np.logaddexp(log_a[active], s_act[:, None])
-            F = _rowwise_matvec(L, half_b[None, :])[:, 0] + offset
-            step = F / _rowwise_matvec(np.exp(s_act[:, None] - L),
-                                       half_b[None, :])[:, 0]
-            s[active] = s_act - step
-            done = ((F <= 0.0) | ~np.isfinite(F)
-                    | (np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(s_act))))
-            active = active[~done]
-        V = sign * model.c * np.exp(0.5 * np.logaddexp(log_a, s[:, None]))
-        lam = sign * (edge[:, 0] + np.exp(s))
-    status = np.where(np.all(np.isfinite(V) & (np.abs(V) >= TINY), axis=1),
-                      SOLVED, OUT_OF_RANGE)
-    status[active] = NO_CONVERGENCE
-    return V, lam, status
+    r = np.full(W.shape[0], -offset / half_b.sum())
+    L, active = _newton(r, np.arange(W.shape[0]), np.log(a),
+                        np.full(W.shape[0], offset), half_b)
+    V = sign * model.c * np.exp(0.5 * L)
+    lam = sign * (edge[:, 0] + np.exp(r))
+    return V, lam, _status(V, np.full(W.shape[0], SOLVED), active)
 
 
 def _bounded_section(model: AllocationModel, W: np.ndarray, layer: int,
@@ -278,47 +257,61 @@ def _bounded_section(model: AllocationModel, W: np.ndarray, layer: int,
 
     half_b = 0.5 * np.abs(model.b)
     offset = _rowwise_matvec(sg, (half_b * np.log(np.abs(model.b)))[None, :])[:, 0] - C
-    # C_w' lies in [mu, M]: the vanishing components at lo and hi give slope
-    # H_lo sigma(-s) + H_hi sigma(s) >= min(H_lo, H_hi), no term more than |b_i|/2
-    zero = off == 0.0
-    mu = np.minimum(_rowwise_matvec(zero & entered, half_b[None, :])[:, 0],
-                    _rowwise_matvec(zero & ~entered, half_b[None, :])[:, 0])
-    M = half_b.sum()
     log_off, log_D = np.log(off), np.log(D)
-    s = np.zeros(W.shape[0])
-    s_lo, s_hi = np.full(W.shape[0], -np.inf), np.full(W.shape[0], np.inf)
-    active = np.flatnonzero(status == SOLVED)
+    # the root lies in the half of (lo, hi) on the side of C_w(midpoint) - C;
+    # solve from that end p = lo (t = +1) or hi (t = -1) in r = ln|lambda - p|
+    r = np.log(0.5 * D)
+    F_mid = _rowwise_matvec(sg * np.logaddexp(log_off, r[:, None]),
+                            half_b[None, :])[:, 0] + offset
+    t = np.where(F_mid > 0.0, 1.0, -1.0)
+    near = sg == t[:, None]
+    L, active = _newton(r, np.flatnonzero(status == SOLVED), log_off,
+                        t * offset, half_b, near, log_D)
+    V = sg * model.c * np.exp(0.5 * L)
+    lam = np.where(t > 0.0, lo, hi) + t * np.exp(r)
+    return V, lam, _status(V, status, active)
+
+
+def _newton(r: np.ndarray, active: np.ndarray, log_off: np.ndarray,
+            offset: np.ndarray, half_b: np.ndarray, near=None, log_D=None):
+    """The Newton iteration of the module docstring on G(r) = sum_i +-1/2
+    |b_i| L_i(r) + offset, + where ``near`` (everywhere when it is None, D =
+    inf), for the ``active`` rows.  A row stops on G <= 0, a non-finite G or a
+    step within rounding of r.  Updates r in place; returns L at the final r
+    and the rows still active after NEWTON_MAX_ITER steps.
+    """
+    def log_offsets(rows, r_rows):
+        x = r_rows[:, None]
+        if near is not None:
+            x = np.where(near[rows], x, (log_D[rows] + np.log1p(
+                -np.exp(r_rows - log_D[rows])))[:, None])
+        return np.logaddexp(log_off[rows], x)
+
     for _ in range(NEWTON_MAX_ITER):
         if active.size == 0:
             break
-        s_act = s[active]
-        x = sg[active] * s_act[:, None]
-        log_sig = -np.logaddexp(0.0, -x)          # ln sigma(sg_i s)
-        L = np.logaddexp(log_off[active], log_D[active, None] + log_sig)
-        F = _rowwise_matvec(sg[active] * L, half_b[None, :])[:, 0] + offset[active]
-        dF = _rowwise_matvec(np.exp(log_D[active, None] + 2.0 * log_sig - x - L),
-                             half_b[None, :])[:, 0]
-        # the root lies between s - F/mu and s - F/M; Newton inside, else bisect
-        far, near = s_act - F / mu[active], s_act - F / M
-        lo_b = s_lo[active] = np.maximum(s_lo[active], np.minimum(far, near))
-        hi_b = s_hi[active] = np.minimum(s_hi[active], np.maximum(far, near))
-        new = s_act - F / dF
-        new = np.where((new >= lo_b) & (new <= hi_b), new, 0.5 * (lo_b + hi_b))
-        s[active] = new
-        # stop on a step within rounding of s, or on an F within rounding of
-        # its terms, where a Newton step would only chase the noise of F
-        F_tol = 4.0 * EPS * (_rowwise_matvec(np.abs(L), half_b[None, :])[:, 0]
-                             + np.abs(offset[active]))
-        done = ((np.abs(F) <= F_tol) | ~np.isfinite(F)
-                | (np.abs(new - s_act) <= 4.0 * EPS * (1.0 + np.abs(s_act))))
+        r_act = r[active]
+        L = log_offsets(active, r_act)
+        signed = L if near is None else np.where(near[active], L, -L)
+        G = _rowwise_matvec(signed, half_b[None, :])[:, 0] + offset[active]
+        # dG/dr = sum_i 1/2 |b_i| e^(r - L_i), near and far components alike
+        step = G / _rowwise_matvec(np.exp(r_act[:, None] - L),
+                                   half_b[None, :])[:, 0]
+        r[active] = r_act - step
+        done = ((G <= 0.0) | ~np.isfinite(G)
+                | (np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(r_act))))
         active = active[~done]
-    L = np.logaddexp(log_off, log_D[:, None] - np.logaddexp(0.0, -sg * s[:, None]))
-    V = sg * model.c * np.exp(0.5 * L)
-    lam = lo + D * np.exp(-np.logaddexp(0.0, -s))
-    status[~np.all(np.isfinite(V) & (np.abs(V) >= TINY), axis=1)
-           & (status == SOLVED)] = OUT_OF_RANGE
+    return log_offsets(slice(None), r), active
+
+
+def _status(V: np.ndarray, status: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Mark the OUT_OF_RANGE and NO_CONVERGENCE rows, as layer_section says."""
+    absV = np.abs(V)
+    ok = ((np.isfinite(V) & (absV >= TINY)).all(axis=1)
+          & (absV >= SQRT_TINY).any(axis=1))
+    status[~ok & (status == SOLVED)] = OUT_OF_RANGE
     status[active] = NO_CONVERGENCE
-    return V, lam, status
+    return status
 
 
 def _crossing_noise(model: AllocationModel, W: np.ndarray) -> np.ndarray:
@@ -362,8 +355,9 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
     if status[k] == NO_CONVERGENCE:
         reason = f"no convergence in {NEWTON_MAX_ITER} Newton steps"
     else:
-        reason = ("the state has a zero, subnormal or non-finite component "
-                  "(the leaf point lies outside the float64 range)")
+        reason = ("the state has a zero, subnormal or non-finite component or "
+                  "squares that underflow (the leaf point lies outside the "
+                  "float64 range)")
     error = ExtremalSolveError if layer in (0, model.n) else SectionSolveError
     raise error(row, W[k], reason, t=t_row)
 

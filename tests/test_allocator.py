@@ -26,6 +26,7 @@ from fiberalloc import (
     section_inverse,
     smoothness_probe,
 )
+from fiberalloc.model import EPS_ZERO
 from fiberalloc.potential import SOLVED
 from conftest import assert_on_leaf, log_potential, model_with_b, random_model
 
@@ -58,7 +59,7 @@ class TestExtremalInverse:
             else:
                 # the level sits below the boundary band: the solver reached
                 # it in split form, leaving a component within eps_zero of 0
-                assert np.min(np.abs(v)) <= m.eps_zero
+                assert np.min(np.abs(v)) <= EPS_ZERO
 
     def test_orthant_confinement(self):
         rng = np.random.default_rng(103)
@@ -311,6 +312,41 @@ class TestBoundedSectionSolve:
     def test_bad_layer_or_level_is_refused(self, m3, layer, C):
         with pytest.raises(ValueError):
             layer_section(m3, [[1.0, 0.5]], layer, C)
+
+    def test_state_whose_squares_underflow_is_out_of_range(self, m3):
+        # a subnormal task: on layers 1 and 2 max|v_i| is about 1e-160, so
+        # every v_i^2 underflows and f(v) = w cannot be checked; the state was
+        # returned as solved with a task residual 4.5e7 times the bound
+        W = np.array([[1e-320, -3e-321]])
+        for layer in (1, 2):
+            _, _, status = layer_section(m3, W, layer, 0.0)
+            with pytest.raises(SectionSolveError, match="float64 range"):
+                raise_for_status(m3, W, layer, status)
+        # the extremal states of the same task have max|v_i| of about 1.19
+        for layer in (0, 3):
+            V, _, status = layer_section(m3, W, layer, 0.0)
+            assert np.all(status == SOLVED)
+            assert np.max(np.abs(V)) > 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 8), model_seed=st.integers(0, 2**32 - 1),
+           decades=st.floats(0.0, 6.0), C=st.floats(-50.0, 50.0))
+    def test_mirror(self, n, model_seed, decades, C):
+        # (w, layer, C) and (-w, n - layer, -C) are mirror images, v -> -v;
+        # on layers 0 and n bit for bit
+        rng = np.random.default_rng(model_seed)
+        m = random_model(rng, n)
+        W = rng.normal(size=(4, m.m)) * 10.0 ** rng.uniform(-decades, decades,
+                                                            size=(4, 1))
+        for layer in range(n + 1):
+            V, lam, status = layer_section(m, W, layer, C)
+            V_m, lam_m, status_m = layer_section(m, -W, n - layer, -C)
+            assert np.array_equal(status, status_m)
+            if layer in (0, n):
+                assert np.array_equal(V, -V_m) and np.array_equal(lam, -lam_m)
+                continue
+            ok = status == SOLVED
+            np.testing.assert_allclose(V[ok], -V_m[ok], rtol=1e-13, atol=0.0)
 
 
 class TestNaiveInverse:
