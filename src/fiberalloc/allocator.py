@@ -33,7 +33,6 @@ class SectionInverseConfig:
 
     layer: int
     C: float = 0.0
-    hinge_margin: float = HINGE_MARGIN
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,15 @@ def section_inverse(model: AllocationModel, w,
 
     The batch-of-one :func:`fiberalloc.potential.layer_section`.  For
     transitional layers the origin is excluded (the central fiber skips them),
-    and results with min|v_i| under the hinge margin carry a HingeProximity
-    report naming the two smallest components.
+    and results with min|v_i| under HINGE_MARGIN * max|v_i| carry a
+    HingeProximity report naming the two smallest components.
     """
     sp = layer_point(model, w, config.layer, config.C)
 
     report = None
     if 0 < config.layer < model.n:
         absv = np.abs(sp.v)
-        floor = config.hinge_margin * np.max(absv)
+        floor = HINGE_MARGIN * np.max(absv)
         if np.min(absv) < floor:
             order = np.argsort(absv)
             report = HingeProximity(index_pair=(int(order[0]), int(order[1])),

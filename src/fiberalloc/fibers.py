@@ -14,8 +14,8 @@ import numpy as np
 from .model import EPS_ZERO, AllocationModel, untransform
 from .strata import OrthantSignature, classify_orthant
 
-#: Crossings closer than this (relative to the crossing spread) are merged.
-EPS_GAP = 1e-9
+#: A crossing's relative noise bound, 32 times its rounding bound (see crossings).
+CROSSING_RTOL = 32 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class FiberTrace:
     """Crossing structure and orthant itinerary of one fiber.
 
     ``crossings`` lists all n (lambda_i, i) pairs sorted by lambda;
-    ``distinct_crossings`` groups them after merging coincidences, so the
-    fiber has ``len(distinct_crossings) + 1`` open segments.  Segment k of a
-    generic trace lies in the layer-k orthant of ``orthant_sequence``.
+    ``distinct_crossings`` groups the coincident ones (see crossings), so the
+    fiber has ``len(distinct_crossings) + 1`` open segments.  Segment k lies
+    in the orthant ``orthant_sequence[k]``.
     """
 
     w: np.ndarray
@@ -53,16 +53,42 @@ class FiberTrace:
     skipped_orthants: int
 
 
+def crossings(model: AllocationModel, W) -> tuple[np.ndarray, np.ndarray]:
+    """Per task row of W, the crossings lambda*_i = -(A_pinv w)_i / b_i and
+    their noise bound CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|, a row's
+    bit-identical in every batch.  A component is on its hyperplane within
+    its crossing's bound; two crossings coincide within the sum of theirs."""
+    lam_star = -_rowwise_matvec(W, model.A_pinv) / model.b
+    noise = (CROSSING_RTOL * W.shape[1]
+             * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))
+    return lam_star, noise
+
+
+def on_hyperplane(model: AllocationModel, w: np.ndarray, lam: float) -> np.ndarray:
+    """Mask of the components of gamma(w, lambda) on their hyperplane: those
+    whose crossing lies within its noise bound of lambda."""
+    (lam_star,), (noise,) = crossings(model, w[None, :])
+    return np.abs(lam - lam_star) <= noise
+
+
+def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Rows of W @ M.T summed in a fixed order, so that a row's result is
+    bit-identical in every batch (a batch of one included)."""
+    out = W[:, :1] * M[:, 0]
+    for j in range(1, W.shape[1]):
+        out += W[:, j:j + 1] * M[:, j]
+    return out
+
+
 def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:
-    """Evaluate gamma(w, lambda) and its parametric tangent."""
+    """Evaluate gamma(w, lambda) and its parametric tangent; components on
+    their hyperplane (:func:`on_hyperplane`) are snapped to 0 and divergent."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    z = model.A_pinv @ w
-    x = z + lam * model.b
-    absx = np.abs(x)
-    div = absx <= EPS_ZERO
-    v = np.where(div, 0.0, untransform(x))  # snap on-crossing components exactly
+    x = model.A_pinv @ w + lam * model.b
+    div = on_hyperplane(model, w, lam)
+    v = np.where(div, 0.0, untransform(x))
     tangent = np.empty(model.n)
-    tangent[~div] = model.b[~div] / (2.0 * np.sqrt(absx[~div]))
+    tangent[~div] = model.b[~div] / (2.0 * np.sqrt(np.abs(x[~div])))
     tangent[div] = model.c[div]  # limiting direction; magnitude diverges
     return FiberPoint(v=v, lam=float(lam), tangent=tangent,
                       divergent_indices=frozenset(np.nonzero(div)[0].tolist()))
@@ -71,39 +97,34 @@ def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:
 def crossing_parameters(model: AllocationModel, w) -> FiberTrace:
     """Sorted hyperplane crossings and the traversed orthant sequence.
 
-    Crossings within ``EPS_GAP * (spread + 1)`` of each other are merged into
-    one multi-index crossing; the trace is generic when no merge occurs.
-    Signatures are read off at interval midpoints (end intervals one unit past
-    the outermost crossing) so no sign is ever evaluated on a boundary.
+    Adjacent crossings merge into one multi-index crossing when their gap is
+    within the sum of their noise bounds (:func:`crossings`).  That is the
+    test by which :func:`fiberalloc.potential.layer_section` refuses the layer
+    between them, so each segment of the trace lies on a layer the solver
+    solves.  The trace is generic when no merge occurs.  The orthant sequence
+    starts at -sign(b) and flips the signs of each merged group in turn.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     z = model.A_pinv @ w
-    lam_star = -z / model.b
+    (lam_star,), (noise,) = crossings(model, w[None, :])
     order = np.argsort(lam_star)
-    crossings = tuple((float(lam_star[i]), int(i)) for i in order)
-
-    spread = float(lam_star[order[-1]] - lam_star[order[0]])
-    tol = EPS_GAP * (spread + 1.0)
-    groups: list[tuple[float, list[int]]] = []
-    for lam, i in crossings:
-        if groups and lam - groups[-1][0] <= tol:
-            groups[-1][1].append(i)
+    groups = [(float(lam_star[order[0]]), [int(order[0])])]
+    for i, j in zip(order[:-1], order[1:]):
+        if lam_star[j] - lam_star[i] <= noise[i] + noise[j]:
+            groups[-1][1].append(int(j))
         else:
-            groups.append((lam, [i]))
+            groups.append((float(lam_star[j]), [int(j)]))
     distinct = tuple((lam, tuple(idx)) for lam, idx in groups)
-    generic = len(distinct) == model.n
 
-    probes = [distinct[0][0] - 1.0]
-    probes += [0.5 * (distinct[k][0] + distinct[k + 1][0])
-               for k in range(len(distinct) - 1)]
-    probes.append(distinct[-1][0] + 1.0)
-    seq = []
-    for lam in probes:
-        x = z + lam * model.b
-        seq.append(classify_orthant(model, np.where(x > 0, 1, -1)))
+    sigma = -np.sign(model.b).astype(int)
+    seq = [classify_orthant(model, sigma)]
+    for _, idx in distinct:
+        sigma[list(idx)] *= -1
+        seq.append(classify_orthant(model, sigma))
     return FiberTrace(
-        w=w, z=z, crossings=crossings, distinct_crossings=distinct,
-        orthant_sequence=tuple(seq), generic=generic,
+        w=w, z=z, crossings=tuple((float(lam_star[i]), int(i)) for i in order),
+        distinct_crossings=distinct, orthant_sequence=tuple(seq),
+        generic=len(distinct) == model.n,
         skipped_orthants=model.n + 1 - len(seq))
 
 

@@ -40,7 +40,8 @@ from .errors import (
     WrongShapeError,
     row_label,
 )
-from .fibers import FiberTrace, crossing_parameters
+from .fibers import (FiberTrace, _rowwise_matvec, crossing_parameters,
+                     crossings, on_hyperplane)
 from .model import EPS_ZERO, AllocationModel
 from .strata import OrthantSignature, classify_orthant
 
@@ -48,12 +49,6 @@ from .strata import OrthantSignature, classify_orthant
 NEWTON_MAX_ITER = 64
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 SQRT_TINY = math.sqrt(TINY)
-#: The noise bound of a crossing lambda*_i is CROSSING_RTOL * m * (|A_pinv|
-#: |w|)_i / |b_i|, 32 times its rounding bound.  Offsets to a segment's end
-#: within their bound plus the end's (the row's largest, on an extremal
-#: segment) are 0; a transitional layer whose bounding crossings lie within
-#: the sum of theirs is refused.
-CROSSING_RTOL = 32 * EPS
 #: Per-row status of a section solve (see layer_section).
 SOLVED, REFUSED, NO_CONVERGENCE, OUT_OF_RANGE = range(4)
 
@@ -86,16 +81,14 @@ class SectionPoint:
     layer: int
 
 
-def _signed_log_sum(b: np.ndarray, u: np.ndarray):
+def _signed_log_sum(b: np.ndarray, u: np.ndarray, boundary: np.ndarray):
     """Evaluate sum b_i sign(u_i) ln|u_i| with divergence sentinels.
 
-    Components within EPS_ZERO of 0 diverge; one exactly zero takes the sign
-    of its orthant-entry limit, sign(b_i).
+    The components in the ``boundary`` mask diverge; one exactly zero takes
+    the sign of its orthant-entry limit, sign(b_i).
     """
-    absu = np.abs(u)
-    boundary = absu <= EPS_ZERO
     if not boundary.any():
-        return float(np.sum(b * np.sign(u) * np.log(absu))), frozenset(), False
+        return float(np.sum(b * np.sign(u) * np.log(np.abs(u)))), frozenset(), False
     signs = np.where(u == 0, np.sign(b), np.sign(u))
     # term b_i sign(u_i) ln|u_i| -> -inf when b_i sign(u_i) > 0, +inf when < 0
     coeffs = b[boundary] * signs[boundary]
@@ -110,7 +103,7 @@ def _signed_log_sum(b: np.ndarray, u: np.ndarray):
 def potential(model: AllocationModel, v) -> PotentialValue:
     """Global potential Phi(v) = sum_i b_i sign(v_i) ln|v_i|."""
     v = np.asarray(v, dtype=float)
-    value, idx, indet = _signed_log_sum(model.b, v)
+    value, idx, indet = _signed_log_sum(model.b, v, np.abs(v) <= EPS_ZERO)
     return PotentialValue(value=value, boundary_indices=idx, indeterminate=indet)
 
 
@@ -126,11 +119,13 @@ def potential_along_fiber(model: AllocationModel, w, lam: float) -> PotentialVal
     """Fiber-restricted potential C_w(lambda) = Phi(gamma(w, lambda)).
 
     Evaluated directly in transformed coordinates with the 1/2 factor from the
-    square-root transform: (1/2) sum b_i sign(u_i) ln|u_i| with u = z + lambda b.
+    square-root transform: (1/2) sum b_i sign(u_i) ln|u_i| with u = z + lambda b,
+    u_i = 0 on its hyperplane (:func:`fiberalloc.fibers.on_hyperplane`).
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     u = model.A_pinv @ w + lam * model.b
-    value, idx, indet = _signed_log_sum(model.b, u)
+    on = on_hyperplane(model, w, lam)
+    value, idx, indet = _signed_log_sum(model.b, np.where(on, 0.0, u), on)
     return PotentialValue(value=0.5 * value, boundary_indices=idx,
                           indeterminate=indet)
 
@@ -139,10 +134,9 @@ def potential_slope(model: AllocationModel, w, lam: float) -> float:
     """d C_w / d lambda = sum b_i^2 / (2 v_i^2); strictly positive."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     u = model.A_pinv @ w + lam * model.b
-    absu = np.abs(u)
-    if np.any(absu <= EPS_ZERO):
+    if on_hyperplane(model, w, lam).any():
         raise CrossingStateError(f"lambda = {lam:g} sits on a hyperplane crossing")
-    return float(np.sum(model.b ** 2 / (2.0 * absu)))
+    return float(np.sum(model.b ** 2 / (2.0 * np.abs(u))))
 
 
 def potential_near_crossing(model: AllocationModel, trace: FiberTrace,
@@ -187,11 +181,11 @@ def layer_section(model: AllocationModel, W, layer: int,
     layer-``layer`` orthant, its fiber parameter and its status.  Layers 0 and
     n are the extremal segments of :func:`extremal_section`; a transitional
     one lies between the row's ``layer``-th and ``layer + 1``-th crossings.
-    A row is REFUSED when those lie within their noise bound (CROSSING_RTOL)
-    of each other, the zero task included; NO_CONVERGENCE after
-    NEWTON_MAX_ITER steps; OUT_OF_RANGE when the task is not finite, the
-    state has a zero, subnormal or non-finite component, or its largest v_i^2
-    underflows (max|v_i| < sqrt(TINY)), so that f(v) = w cannot be checked.
+    A row is REFUSED when those coincide (see fibers.crossings), the zero task
+    included; NO_CONVERGENCE after NEWTON_MAX_ITER steps; OUT_OF_RANGE when
+    the task is not finite, the state has a zero, subnormal or non-finite
+    component, or its largest v_i^2 underflows (max|v_i| < sqrt(TINY)), so
+    that f(v) = w cannot be checked.
     Raises ValueError for a non-finite C or a layer outside [0, n],
     WrongShapeError unless W has m columns.
     """
@@ -218,12 +212,12 @@ def extremal_section(model: AllocationModel, W: np.ndarray, C: float,
     sign(b) strictly, its fiber parameter and its status.
     """
     # the negative branch of (w, C) mirrors the positive branch of (-w, -C)
-    lam_star = -sign * _rowwise_matvec(W, model.A_pinv) / model.b
+    lam_star, noise = crossings(model, W)
+    lam_star = sign * lam_star
     edge = lam_star.max(axis=1, keepdims=True)
     a = edge - lam_star
     # offsets within rounding noise carry no information about w; kept, they
     # inflate lost components and can push the edge one below float64 range
-    noise = _crossing_noise(model, W)
     a[a <= noise + noise.max(axis=1, keepdims=True)] = 0.0
     half_b = 0.5 * np.abs(model.b)
     offset = half_b @ np.log(np.abs(model.b)) - sign * C   # K - C
@@ -239,8 +233,7 @@ def _bounded_section(model: AllocationModel, W: np.ndarray, layer: int,
                      C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bounded-segment solve of the module docstring, for layer_section."""
     rows = np.arange(W.shape[0])
-    lam_star = -_rowwise_matvec(W, model.A_pinv) / model.b
-    noise = _crossing_noise(model, W)
+    lam_star, noise = crossings(model, W)
     order = np.argsort(lam_star, axis=1)
     i_lo, i_hi = order[:, layer - 1], order[:, layer]
     lo, hi = lam_star[rows, i_lo], lam_star[rows, i_hi]
@@ -312,22 +305,6 @@ def _status(V: np.ndarray, status: np.ndarray, active: np.ndarray) -> np.ndarray
     status[~ok & (status == SOLVED)] = OUT_OF_RANGE
     status[active] = NO_CONVERGENCE
     return status
-
-
-def _crossing_noise(model: AllocationModel, W: np.ndarray) -> np.ndarray:
-    """Per row, CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|: the rounding
-    bound of the crossings lambda*_i, times 32."""
-    return (CROSSING_RTOL * W.shape[1]
-            * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))
-
-
-def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Rows of W @ M.T summed in a fixed order, so that a row's result is
-    bit-identical in every batch (a batch of one included)."""
-    out = W[:, :1] * M[:, 0]
-    for j in range(1, W.shape[1]):
-        out += W[:, j:j + 1] * M[:, j]
-    return out
 
 
 def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,

@@ -207,7 +207,7 @@ class TestSectionInverse:
         with pytest.raises((NonGenericSegmentError, OriginExcludedError)):
             section_inverse(m2, [0.0], SectionInverseConfig(layer=1))
 
-    def test_hinge_proximity_report(self, m3bal):
+    def test_hinge_proximity_report(self, m3bal, monkeypatch):
         # a task generated by a state next to a hinge pulls the transitional
         # inverse into the margin band
         v_near = np.array([1e-4, 1.0, -2e-4])
@@ -216,8 +216,9 @@ class TestSectionInverse:
         layer = classify_orthant(m3bal, sig).layer
         w = actuation(m3bal, v_near)
         C = potential(m3bal, v_near).value
-        sp, report = section_inverse(
-            m3bal, w, SectionInverseConfig(layer=layer, C=C, hinge_margin=1e-3))
+        monkeypatch.setattr(import_module("fiberalloc.allocator"),
+                            "HINGE_MARGIN", 1e-3)
+        sp, report = section_inverse(m3bal, w, SectionInverseConfig(layer=layer, C=C))
         assert report is not None
         assert set(report.index_pair) == {0, 2}
         assert report.min_abs_v < 1e-3
@@ -225,14 +226,14 @@ class TestSectionInverse:
 
 
     def test_layer_between_crossings_closer_than_eps_gap(self, m3):
-        # crossings 1e-9 apart: crossing_parameters merges them (EPS_GAP), so
-        # layer 1 was refused, but w resolves them far above rounding noise
+        # crossings 1e-9 apart, far outside their noise bound: the trace keeps
+        # them apart, and the solver solves the layer between them
         lam_star, lam = np.array([0.0, 1e-9, 1.0]), 5e-10
         u = m3.b * (lam - lam_star)
         v = np.sign(u) * np.sqrt(np.abs(u))
         w = actuation(m3, v)
         C = float(log_potential(m3, v)[0])
-        assert not crossing_parameters(m3, w).generic
+        assert crossing_parameters(m3, w).generic
         sp, _ = section_inverse(m3, w, SectionInverseConfig(layer=1, C=C))
         assert sp.layer == 1
         assert tuple(sp.orthant.sigma) == tuple(np.sign(v).astype(int))

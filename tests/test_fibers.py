@@ -29,6 +29,17 @@ class TestFiberPoint:
         np.testing.assert_allclose(actuation(m2, p.v), [2.0], atol=1e-12)
         assert p.divergent_indices == {1}
 
+    # the on-hyperplane rule is relative to the task scale: a tiny task's
+    # regular point keeps its components, a huge task's crossing loses one
+    @pytest.mark.parametrize("w, lam, v, divergent", [
+        ([2e-20], 0.0, [1e-10, 1e-10], set()),
+        ([5e20], -5e20 / SQRT2, [0.0, math.sqrt(5e20)], {0}),
+    ], ids=["tiny-task", "huge-task-crossing"])
+    def test_task_scale(self, m2, w, lam, v, divergent):
+        p = fiber_point(m2, w, lam)
+        np.testing.assert_allclose(p.v, v, rtol=1e-12)
+        assert p.divergent_indices == divergent
+
     def test_central_fiber_closed_form(self, m2):
         for lam in (0.5, 1.0, 7.3):
             p = fiber_point(m2, [0.0], lam)

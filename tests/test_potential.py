@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberalloc import (
     BoundaryStateError,
@@ -11,6 +13,7 @@ from fiberalloc import (
     extremal_inverse,
     fiber_segments,
     jacobian,
+    layer_section,
     potential,
     potential_along_fiber,
     potential_gradient,
@@ -18,6 +21,7 @@ from fiberalloc import (
     potential_slope,
     section_intersection,
 )
+from fiberalloc.potential import REFUSED
 from conftest import assert_on_leaf, random_model
 
 SQRT2 = math.sqrt(2.0)
@@ -101,6 +105,19 @@ class TestPotentialAlongFiber:
         p = potential_along_fiber(m2, [2.0], SQRT2)
         assert not p.finite
 
+    def test_regular_point_of_a_tiny_task(self, m2):
+        # v = (1e-10, 1e-10): both components far below 1e-12 in u, yet regular
+        p = potential_along_fiber(m2, [2e-20], 0.0)
+        assert p.finite
+        assert p.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_crossing_of_a_huge_task(self, m2):
+        # lambda*_0 of w = 5e20, where u_0 rounds to -65536, not to 0; on
+        # its hyperplane u_0 is 0, with the orthant-entry limit sign(b_0)
+        p = potential_along_fiber(m2, [5e20], -5e20 / SQRT2)
+        assert p.boundary_indices == {0}
+        assert p.value == -math.inf
+
     def test_central_fiber_closed_form(self, m2):
         # C(lambda) = (1/(2 sqrt 2)) ln(lambda^2 / 2) on the central fiber
         assert potential_along_fiber(m2, [0.0], SQRT2).value == pytest.approx(0.0, abs=1e-12)
@@ -123,6 +140,14 @@ class TestPotentialSlope:
     def test_crossing_raises(self, m2):
         with pytest.raises(CrossingStateError):
             potential_slope(m2, [2.0], SQRT2)
+
+    def test_regular_point_of_a_tiny_task(self, m2):
+        # |u_i| = 1e-20: sum b_i^2 / (2 |u_i|) = 5e19
+        assert potential_slope(m2, [2e-20], 0.0) == pytest.approx(5e19)
+
+    def test_crossing_of_a_huge_task_raises(self, m2):
+        with pytest.raises(CrossingStateError):
+            potential_slope(m2, [5e20], -5e20 / SQRT2)
 
     def test_matches_finite_difference(self, m2):
         h = 1e-7
@@ -187,14 +212,37 @@ class TestSectionIntersection:
                 assert sp.layer == (m.n if branch == "positive" else 0)
 
     def test_segment_after_merged_crossings_is_on_their_layer(self, m3):
-        # crossings 0 and 1e-9 merge in the trace: segment 1 lies in layer 2
-        w = m3.A @ (m3.b * (0.5 - np.array([0.0, 1e-9, 1.0])))
+        # crossings 0 and 0, equal up to rounding, merge in the trace: segment
+        # 1 lies in layer 2
+        w = m3.A @ (m3.b * (0.5 - np.array([0.0, 0.0, 1.0])))
         tr = crossing_parameters(m3, w)
         assert [len(idx) for _, idx in tr.distinct_crossings] == [2, 1]
         sp = section_intersection(m3, w, 1, 0.3, trace=tr)
         assert sp.layer == 2
         assert tr.distinct_crossings[0][0] < sp.lam < tr.distinct_crossings[1][0]
         assert_on_leaf(m3, sp.v, w, 0.3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 8), model_seed=st.integers(0, 2**32 - 1),
+           log_gap=st.floats(-17.0, -12.0), C=st.floats(-2.0, 2.0))
+    def test_trace_segments_are_the_solved_layers(self, n, model_seed, log_gap, C):
+        # one pair of crossings pulled to 10**log_gap times the crossing
+        # scale, across their noise bound: the trace merges them exactly when
+        # the solver refuses the layer between them
+        rng = np.random.default_rng(model_seed)
+        m = random_model(rng, n)
+        lam_star = rng.normal(size=n)
+        i, j = rng.choice(n, size=2, replace=False)
+        lam_star[j] = lam_star[i] + 10.0 ** log_gap * np.max(np.abs(lam_star))
+        w = -m.A @ (m.b * lam_star)
+        tr = crossing_parameters(m, w)
+        segment_layers = np.cumsum(
+            [0] + [len(idx) for _, idx in tr.distinct_crossings])
+        for layer in range(1, n):
+            _, _, status = layer_section(m, w[None, :], layer, C)
+            assert (status[0] == REFUSED) == (layer not in segment_layers)
+        for k, layer in enumerate(segment_layers):
+            assert section_intersection(m, w, k, C, trace=tr).layer == layer
 
     def test_reproducible_to_1e10(self, m2):
         a = section_intersection(m2, [1.7], 1, 0.4).lam
