@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocator import (
-    SectionInverseConfig,
-    extremal_inverse,
-    lift_trajectory,
-    section_inverse,
-)
+from .allocator import SectionInverseConfig, lift_trajectory, section_inverse
 from .errors import (
     BoundaryStateError,
     ConfinementError,
@@ -119,6 +114,7 @@ def cmd_fibers(args) -> int:
     out = Path(args.out)
     tasks = [_parse_vector(tok) for tok in args.w]
     lam_grid = np.linspace(args.lam_min, args.lam_max, args.samples)
+    norm_A = np.linalg.norm(model.A, 2)
 
     def table(w) -> np.ndarray:
         trace = crossing_parameters(model, w)
@@ -130,7 +126,8 @@ def cmd_fibers(args) -> int:
         for lam in all_lams:
             p = fiber_point(model, w, lam)
             werr = np.max(np.abs(actuation(model, p.v) - w))
-            if werr > SELF_CHECK_TOL * (1.0 + np.max(np.abs(w))):
+            # the residual scale of the map, ||A||_2 ||v||^2
+            if werr > SELF_CHECK_TOL * norm_A * (p.v @ p.v):
                 raise AssertionError(f"self-check failed: |f(v) - w| = {werr:g}")
             # is_crossing 0.0 or 1.0 is written "0" or "1"
             rows.append([lam, *p.v, float(lam in marks)])
@@ -201,14 +198,11 @@ def cmd_strata(args) -> int:
 def cmd_invert(args) -> int:
     model = load_model(args.model)
     w = _parse_vector(args.w)
-    if args.layer is None or args.layer in (0, model.n):
-        branch = "negative" if args.layer == 0 else args.branch
-        v = extremal_inverse(model, w, args.C, branch=branch)
-        report = None
-    else:
-        sp, report = section_inverse(
-            model, w, SectionInverseConfig(layer=args.layer, C=args.C))
-        v = sp.v
+    layer = args.layer
+    if layer is None:
+        layer = model.n if args.branch == "positive" else 0
+    sp, report = section_inverse(model, w, SectionInverseConfig(layer=layer, C=args.C))
+    v = sp.v
     doc = {
         "w": [float(x) for x in w],
         "C": args.C,
@@ -288,9 +282,10 @@ def _strata_args(p) -> None:
 def _invert_args(p) -> None:
     p.add_argument("--w", required=True)
     p.add_argument("--C", type=float, default=0.0)
-    p.add_argument("--layer", type=int, default=None)
-    p.add_argument("--branch", choices=["positive", "negative"],
-                   default="positive")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--layer", type=int, default=None)
+    group.add_argument("--branch", choices=["positive", "negative"],
+                       default="positive")
     p.set_defaults(func=cmd_invert)
 
 

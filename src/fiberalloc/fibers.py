@@ -72,12 +72,10 @@ def on_hyperplane(model: AllocationModel, w: np.ndarray, lam: float) -> np.ndarr
 
 
 def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Rows of W @ M.T summed in a fixed order, so that a row's result is
-    bit-identical in every batch (a batch of one included)."""
-    out = W[:, :1] * M[:, 0]
-    for j in range(1, W.shape[1]):
-        out += W[:, j:j + 1] * M[:, j]
-    return out
+    """Rows of W @ M.T, each summed by einsum (without BLAS) in the order it
+    sums the row alone: for a C-ordered W a row's result is bit-identical in
+    every batch (a batch of one included), for a Fortran-ordered one not."""
+    return np.einsum("ij,kj->ik", W, M)
 
 
 def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:

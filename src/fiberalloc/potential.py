@@ -5,19 +5,21 @@ The potential Phi(v) = sum_i b_i sign(v_i) ln|v_i| is constant on the leaves
 of the foliation orthogonal to the fibers.  Along a fiber, u = z + lambda b
 with u_i = b_i (lambda - lambda*_i), it is strictly increasing on every open
 segment between crossings, from -inf to +inf, so each segment meets each leaf
-once.  Every segment is solved by one Newton iteration in r = ln|lambda - p|,
-p the segment's end nearer the root.  L_i = ln|lambda - lambda*_i| is
+once.  Layer l's segment (lo, hi) runs from the l-th to the l+1-th smallest
+crossing, lo = -inf on layer 0 and hi = +inf on layer n, and every segment is
+solved by one Newton iteration in r = ln|lambda - p|, p the end nearer the
+root, t = +1 for p = lo and -1 for p = hi.  L_i = ln|lambda - lambda*_i| is
 logaddexp(ln off_i, r) for a component vanishing at p, off_i = |p -
 lambda*_i|, and on a segment of length D logaddexp(ln off_i, ln D +
 log1p(-e^(r - ln D))) for the others, off_i their offset to the far end.
-Signed to increase in r, C_w = 1/2 sum_i +-|b_i| (ln|b_i| + L_i) is a sum of
-softplus terms and terms -ln(off_i + D - e^r), so convex, with dC_w/dr = 1/2
-sum_i |b_i| e^(r - L_i): Newton from above the root descends onto it.  An
-extremal segment (the positive one; the negative one is its mirror, C -> -C,
-v -> -v) has p = lambda_max, D = inf and the start r = (C - K) / (1/2
-||b||_1), K = 1/2 sum_i |b_i| ln|b_i|, as C_w >= K + 1/2 ||b||_1 r.  A
-transitional layer's segment (lo, hi) starts at r = ln(D/2): C_w at the
-midpoint picks the half that holds the root, and p is its end.
+C_w = 1/2 sum_i +-|b_i| (ln|b_i| + L_i), and t C_w, which increases in r, is
+a sum of softplus terms and terms -ln(off_i + D - e^r), so convex, with slope
+1/2 sum_i |b_i| e^(r - L_i): Newton from above the root descends onto it.  A
+bounded segment starts at r = ln(D/2): C_w at the midpoint picks the half
+that holds the root, and p is its end.  The extremal segments are the case
+D = inf: p is the finite end, where every component vanishes, t = +1 on layer
+n and -1 on layer 0, and the start r = (t C - K) / (1/2 ||b||_1), K = 1/2
+sum_i |b_i| ln|b_i|, lies above the root, as t C_w >= K + 1/2 ||b||_1 r.
 
 v_i = sign(u_i) sqrt|b_i| exp(1/2 L_i) is rebuilt from the logs, so there is
 no cap on lambda and no special case for roots closer to a crossing than
@@ -178,12 +180,13 @@ def layer_section(model: AllocationModel, W, layer: int,
     """Solve C_w = C on the layer-``layer`` segment of each task row's fiber.
 
     Returns ``(V, lam, status)``: per row of W the state on the leaf C in a
-    layer-``layer`` orthant, its fiber parameter and its status.  Layers 0 and
-    n are the extremal segments of :func:`extremal_section`; a transitional
-    one lies between the row's ``layer``-th and ``layer + 1``-th crossings.
-    A row is REFUSED when those coincide (see fibers.crossings), the zero task
-    included; NO_CONVERGENCE after NEWTON_MAX_ITER steps; OUT_OF_RANGE when
-    the task is not finite, the state has a zero, subnormal or non-finite
+    layer-``layer`` orthant, its fiber parameter and its status.  The segment
+    lies between the row's ``layer``-th and ``layer + 1``-th crossings; on
+    layers 0 and n it is the unbounded extremal segment beyond the outer one.
+    A row is REFUSED when its two crossings coincide (see fibers.crossings),
+    the zero task on a transitional layer included; NO_CONVERGENCE after
+    NEWTON_MAX_ITER steps; OUT_OF_RANGE when the task or its crossings are
+    not finite, the state has a zero, subnormal or non-finite
     component, or its largest v_i^2 underflows (max|v_i| < sqrt(TINY)), so
     that f(v) = w cannot be checked.
     Raises ValueError for a non-finite C or a layer outside [0, n],
@@ -196,68 +199,59 @@ def layer_section(model: AllocationModel, W, layer: int,
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.ndim != 2 or W.shape[1] != model.m:
         raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
+    # einsum sums a row of a C-ordered batch as it sums the row alone
+    W = np.ascontiguousarray(W)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if layer in (0, model.n):
-            return extremal_section(model, W, C, 1.0 if layer else -1.0)
-        return _bounded_section(model, W, layer, C)
+        return _section(model, W, layer, C)
 
 
-def extremal_section(model: AllocationModel, W: np.ndarray, C: float,
-                     sign: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve C_w = C on the unbounded extremal segment, one task per row of W.
-
-    ``sign`` is +1 for the positive segment (layer n), -1 for the negative one
-    (layer 0); W holds rows of m tasks, as :func:`layer_section` checks.
-    Returns ``(V, lam, status)``: per row the state with sign(v) = sign *
-    sign(b) strictly, its fiber parameter and its status.
-    """
-    # the negative branch of (w, C) mirrors the positive branch of (-w, -C)
-    lam_star, noise = crossings(model, W)
-    lam_star = sign * lam_star
-    edge = lam_star.max(axis=1, keepdims=True)
-    a = edge - lam_star
-    # offsets within rounding noise carry no information about w; kept, they
-    # inflate lost components and can push the edge one below float64 range
-    a[a <= noise + noise.max(axis=1, keepdims=True)] = 0.0
-    half_b = 0.5 * np.abs(model.b)
-    offset = half_b @ np.log(np.abs(model.b)) - sign * C   # K - C
-    r = np.full(W.shape[0], -offset / half_b.sum())
-    L, active = _newton(r, np.arange(W.shape[0]), np.log(a),
-                        np.full(W.shape[0], offset), half_b)
-    V = sign * model.c * np.exp(0.5 * L)
-    lam = sign * (edge[:, 0] + np.exp(r))
-    return V, lam, _status(V, np.full(W.shape[0], SOLVED), active)
-
-
-def _bounded_section(model: AllocationModel, W: np.ndarray, layer: int,
-                     C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bounded-segment solve of the module docstring, for layer_section."""
+def _segment(model: AllocationModel, W: np.ndarray, layer: int):
+    """Per row of W the layer's segment (lo, hi), the signs sg_i = +-1 of
+    lambda - lambda*_i on it, ln off_i and the status before the solve."""
     rows = np.arange(W.shape[0])
     lam_star, noise = crossings(model, W)
     order = np.argsort(lam_star, axis=1)
-    i_lo, i_hi = order[:, layer - 1], order[:, layer]
-    lo, hi = lam_star[rows, i_lo], lam_star[rows, i_hi]
-    noise_lo, noise_hi = noise[rows, i_lo], noise[rows, i_hi]
-    entered = np.zeros(lam_star.shape, dtype=bool)
-    np.put_along_axis(entered, order[:, :layer], True, axis=1)
+    ends = []   # the layer-th and layer + 1-th crossings and their noise bounds
+    for k, beyond in ((layer - 1, -np.inf), (layer, np.inf)):
+        if 0 <= k < model.n:
+            ends.append((lam_star[rows, order[:, k]], noise[rows, order[:, k]]))
+        else:   # beyond the outer crossings: unbounded, with a zero noise bound
+            ends.append((np.full(W.shape[0], beyond), np.zeros(W.shape[0])))
+    (lo, noise_lo), (hi, noise_hi) = ends
+    # a tie at lo makes D = 0, a REFUSED row
+    entered = lam_star <= lo[:, None]
     sg = np.where(entered, 1.0, -1.0)
-    # a_i = lo - lambda*_i (entered), c_i = lambda*_i - hi (exited)
+    # a_i = lo - lambda*_i (entered), c_i = lambda*_i - hi (exited); one
+    # within its own and its end's noise bounds carries no information about w
     off = sg * (np.where(entered, lo[:, None], hi[:, None]) - lam_star)
     off[off <= noise + np.where(entered, noise_lo[:, None], noise_hi[:, None])] = 0.0
-    D = hi - lo
-    status = np.where(D > noise_lo + noise_hi, SOLVED, REFUSED)
-    status[~np.all(np.isfinite(W), axis=1)] = OUT_OF_RANGE
+    status = np.where(hi - lo > noise_lo + noise_hi, SOLVED, REFUSED)
+    status[~np.all(np.isfinite(lam_star + noise), axis=1)] = OUT_OF_RANGE
+    return lo, hi, sg, np.log(off), status
 
+
+def _section(model: AllocationModel, W: np.ndarray, layer: int,
+             C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segment solve of the module docstring, for layer_section; the
+    set-up arrays of :func:`_segment` are freed before the Newton steps."""
+    lo, hi, sg, log_off, status = _segment(model, W, layer)
+    D = hi - lo
     half_b = 0.5 * np.abs(model.b)
     offset = _rowwise_matvec(sg, (half_b * np.log(np.abs(model.b)))[None, :])[:, 0] - C
-    log_off, log_D = np.log(off), np.log(D)
-    # the root lies in the half of (lo, hi) on the side of C_w(midpoint) - C;
-    # solve from that end p = lo (t = +1) or hi (t = -1) in r = ln|lambda - p|
-    r = np.log(0.5 * D)
-    F_mid = _rowwise_matvec(sg * np.logaddexp(log_off, r[:, None]),
-                            half_b[None, :])[:, 0] + offset
-    t = np.where(F_mid > 0.0, 1.0, -1.0)
-    near = sg == t[:, None]
+    log_D = np.log(D)
+    if 0 < layer < model.n:
+        # the root lies in the half of (lo, hi) on the side of C_w(midpoint) - C;
+        # solve from that end p = lo (t = +1) or hi (t = -1) in r = ln|lambda - p|
+        r = np.log(0.5 * D)
+        F_mid = _rowwise_matvec(sg * np.logaddexp(log_off, r[:, None]),
+                                half_b[None, :])[:, 0] + offset
+        t = np.where(F_mid > 0.0, 1.0, -1.0)
+        near = sg == t[:, None]
+    else:
+        # D = inf: p = lo on layer n, hi on layer 0, where every component vanishes
+        t = np.full(W.shape[0], 1.0 if layer else -1.0)
+        r = -t * offset / half_b.sum()
+        near = None
     L, active = _newton(r, np.flatnonzero(status == SOLVED), log_off,
                         t * offset, half_b, near, log_D)
     V = sg * model.c * np.exp(0.5 * L)
@@ -266,12 +260,13 @@ def _bounded_section(model: AllocationModel, W: np.ndarray, layer: int,
 
 
 def _newton(r: np.ndarray, active: np.ndarray, log_off: np.ndarray,
-            offset: np.ndarray, half_b: np.ndarray, near=None, log_D=None):
+            offset: np.ndarray, half_b: np.ndarray, near, log_D: np.ndarray):
     """The Newton iteration of the module docstring on G(r) = sum_i +-1/2
-    |b_i| L_i(r) + offset, + where ``near`` (everywhere when it is None, D =
-    inf), for the ``active`` rows.  A row stops on G <= 0, a non-finite G or a
-    step within rounding of r.  Updates r in place; returns L at the final r
-    and the rows still active after NEWTON_MAX_ITER steps.
+    |b_i| L_i(r) + offset, + where ``near`` marks a component vanishing at p
+    (None: every component, D = inf), for the ``active`` rows.  A row stops
+    on G <= 0, a non-finite G or a step within rounding of r.  Updates r in
+    place; returns L at the final r and the rows still active after
+    NEWTON_MAX_ITER steps.
     """
     def log_offsets(rows, r_rows):
         x = r_rows[:, None]

@@ -27,7 +27,7 @@ from fiberalloc import (
     smoothness_probe,
 )
 from fiberalloc.model import EPS_ZERO
-from fiberalloc.potential import SOLVED
+from fiberalloc.potential import OUT_OF_RANGE, SOLVED
 from conftest import assert_on_leaf, log_potential, model_with_b, random_model
 
 SQRT2 = math.sqrt(2.0)
@@ -186,6 +186,12 @@ class TestExtremalLogOffsetSolve:
         V = extremal_inverse_batch(m, W, C, branch)
         assert_on_leaf(m, V, W, C)
         assert np.array_equal(extremal_inverse(m, W[0], C, branch), V[0])
+        # a Fortran-ordered batch and a row-strided view solve each row as
+        # it is solved alone
+        for layout in (np.asfortranarray(W), np.repeat(W, 2, axis=0)[::2]):
+            V_l = extremal_inverse_batch(m, layout, C, branch)
+            for k in range(len(W)):
+                assert np.array_equal(extremal_inverse(m, W[k], C, branch), V_l[k])
 
 
 class TestSectionInverse:
@@ -274,9 +280,14 @@ class TestBoundedSectionSolve:
             assert_on_leaf(m, V[solved], W[solved], C)
             entered_out = np.sign(V[solved]) * np.sign(m.b) > 0
             assert np.all(entered_out.sum(axis=1) == layer)
+        # the rows of a Fortran-ordered batch and of a row-strided view
+        layouts = [layer_section(m, X, layer, C)[0]
+                   for X in (np.asfortranarray(W), np.repeat(W, 2, axis=0)[::2])]
         for k in range(len(W)):
             if solved[k]:
-                assert np.array_equal(section_inverse(m, W[k], config)[0].v, V[k])
+                v = section_inverse(m, W[k], config)[0].v
+                assert np.array_equal(v, V[k])
+                assert all(np.array_equal(v, V_l[k]) for V_l in layouts)
                 continue
             # a failed row is named, in the batch and as a batch of one
             errors = (NonGenericSegmentError, SectionSolveError)
@@ -328,6 +339,13 @@ class TestBoundedSectionSolve:
             V, _, status = layer_section(m3, W, layer, 0.0)
             assert np.all(status == SOLVED)
             assert np.max(np.abs(V)) > 1.0
+
+    def test_task_whose_crossings_overflow_is_out_of_range(self, m3):
+        # a finite task whose crossings overflow: no segment can be located,
+        # and its crossings do not coincide (REFUSED) either
+        W = np.array([[1.7e308, 1.7e308]])
+        for layer in range(4):
+            assert layer_section(m3, W, layer, 0.0)[2][0] == OUT_OF_RANGE
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 8), model_seed=st.integers(0, 2**32 - 1),

@@ -90,6 +90,17 @@ class TestFibers:
             assert min(abs(float(r[1])), abs(float(r[2]))) == 0.0
         assert (out / "central_fiber.csv").exists()
 
+    @pytest.mark.parametrize("lam", ["1e8", "1e21"])
+    def test_self_check_far_out_along_the_fiber(self, model_file, tmp_path,
+                                                lam):
+        # the residual of a point far out grows with ||v||^2, as the rounding
+        # of f(v) does
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model_file, "--out", str(out),
+                     "--w=4,-3", f"--lam-min=-{lam}", f"--lam-max={lam}",
+                     "--samples", "50"]) == 0
+        assert (out / "fiber_0.csv").exists()
+
     def test_csv_format(self, model2_file, tmp_path):
         out = tmp_path / "fib"
         assert main(["fibers", "--model", model2_file, "--out", str(out),
@@ -184,6 +195,17 @@ class TestInvert:
         rc = main(["invert", "--model", model_file, w])
         assert rc == 1
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layer, branch", [("0", "negative"),
+                                               ("3", "positive")])
+    def test_extremal_layer_is_the_branch(self, model_file, capsys, layer,
+                                          branch):
+        docs = []
+        for option in (f"--layer={layer}", f"--branch={branch}"):
+            assert main(["invert", "--model", model_file, "--w=2,1",
+                         option]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
 
     def test_transitional_origin_is_solver_error(self, model2_file, capsys):
         rc = main(["invert", "--model", model2_file, "--w", "0.0",
@@ -287,6 +309,13 @@ class TestParser:
         rc, _, err = run_cli(main, argv, capsys)
         assert rc == 2
         assert f"fiberalloc: error: {message}" in err
+
+    def test_invert_layer_and_branch_exclude_each_other(self, capsys):
+        rc, _, err = run_cli(main, ["invert", "--model", "m.json", "--w=1,2",
+                                    "--layer", "3", "--branch", "negative"],
+                             capsys)
+        assert rc == 2
+        assert "argument --branch: not allowed with argument --layer" in err
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--model", "m.json"],
