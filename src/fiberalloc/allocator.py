@@ -132,11 +132,11 @@ def section_inverse(model: AllocationModel, w,
 def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
     """Baseline allocator: untransform of the minimum-norm transformed solution.
 
-    This is the lambda = 0 fiber point.  It crosses coordinate hyperplanes as
-    w varies, with an inverse-square-root derivative blow-up at each crossing.
+    This is the lambda = 0 fiber point, of one task or of each task row of w.
+    It crosses coordinate hyperplanes as w varies, with an
+    inverse-square-root derivative blow-up at each crossing.
     """
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    return untransform(model.A_pinv @ w_arr)
+    return untransform(np.atleast_1d(np.asarray(w, dtype=float)) @ model.A_pinv.T)
 
 
 def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
@@ -162,7 +162,7 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     if allocator == "extremal":
         vs = extremal_inverse_batch(model, w_samples, config.C, branch=branch)
     elif allocator == "naive":
-        vs = untransform(w_samples @ model.A_pinv.T)
+        vs = naive_minimum_norm_inverse(model, w_samples)
     elif allocator == "section":
         vs = _solve_rows(model, w_samples, config.layer, config.C, t=t)
     else:

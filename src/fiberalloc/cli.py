@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fibers import crossing_parameters, fiber_point
 from .model import AllocationModel, actuation, load_model
-from .potential import SOLVED, layer_section
+from .potential import SOLVED, layer_section, phi_sum
 from .strata import (
     classify_orthant,
     enumerate_layer,
@@ -148,9 +148,11 @@ def cmd_foliation(args) -> int:
     rng = np.random.default_rng(args.seed)
     mags = _parse_vector(args.magnitudes)
     if args.orthant:
-        sigma = np.array([1 if s == "+" else -1
+        sigma = np.array([{"+": 1, "-": -1}.get(s, 0)
                           for s in args.orthant.strip("()").split(",")])
-        layer = sum(1 for i in range(model.n) if sigma[i] * model.b[i] > 0)
+        # a signature of the wrong length or with a sign other than +/- is a
+        # ValueError of classify_orthant
+        layer = classify_orthant(model, sigma).layer
     else:
         sigma = None
         layer = args.layer
@@ -168,9 +170,7 @@ def cmd_foliation(args) -> int:
         if sigma is not None:
             keep &= np.all((V > 0) == (sigma > 0), axis=1)
         V_ok, W_ok = V[keep], W[keep]
-        # Phi in log form: a valid state may have components far below EPS_ZERO
-        err = np.abs(np.sum(model.b * np.sign(V_ok) * np.log(np.abs(V_ok)),
-                            axis=1) - C)
+        err = np.abs(phi_sum(model.b, np.sign(V_ok), np.log(np.abs(V_ok))) - C)
         if np.any(err > SELF_CHECK_TOL):
             raise AssertionError(
                 f"self-check failed: |Phi(v) - C| = {err.max():g}")

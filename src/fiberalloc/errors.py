@@ -44,9 +44,10 @@ def row_label(row: int, t: float | None = None) -> str:
 class SectionSolveError(FiberAllocError):
     """A section solve failed for one task row.
 
-    Raised when the row's Newton iteration hits its cap, or when the rebuilt
-    state has a zero, subnormal or non-finite component (the leaf point lies
-    outside the float64 range, or the task is not finite).  Carries the row
+    Raised when the row's Newton iteration hits its cap, when the task or
+    its crossings are not finite, or when the rebuilt state has a zero,
+    subnormal or non-finite component (the leaf point lies outside the
+    float64 range).  Carries the row
     index in ``row``, its task in ``w`` and, for a lifted sample, its time in ``t``.
     """
 

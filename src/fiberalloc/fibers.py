@@ -1,17 +1,18 @@
 """Constant-task fibers: parameterization, tangents, crossings, orthant traversal.
 
-In transformed coordinates a fiber is the affine line x(lambda) = z + lambda*b
-with z = A_pinv w, so each component crosses zero exactly once at
-lambda_i = -z_i / b_i.  Mapping back through the square-root transform gives
-the curve traced in the native kinetic space.
+In transformed coordinates a fiber is the affine line x(lambda) = A_pinv w +
+lambda b, whose component u_i = b_i (lambda - lambda*_i) crosses zero exactly
+once, at lambda*_i = -(A_pinv w)_i / b_i.  Mapping back through the
+square-root transform gives the curve traced in the native kinetic space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS_ZERO, AllocationModel, untransform
+from .model import AllocationModel, untransform
 from .strata import OrthantSignature, classify_orthant
 
 #: A crossing's relative noise bound, 32 times its rounding bound (see crossings).
@@ -45,7 +46,6 @@ class FiberTrace:
     """
 
     w: np.ndarray
-    z: np.ndarray
     crossings: tuple[tuple[float, int], ...]
     distinct_crossings: tuple[tuple[float, tuple[int, ...]], ...]
     orthant_sequence: tuple[OrthantSignature, ...]
@@ -64,11 +64,14 @@ def crossings(model: AllocationModel, W) -> tuple[np.ndarray, np.ndarray]:
     return lam_star, noise
 
 
-def on_hyperplane(model: AllocationModel, w: np.ndarray, lam: float) -> np.ndarray:
-    """Mask of the components of gamma(w, lambda) on their hyperplane: those
-    whose crossing lies within its noise bound of lambda."""
+def _on_fiber(model: AllocationModel, w: np.ndarray,
+              lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """gamma(w, lambda) in transformed coordinates, u = b o (lambda - lambda*),
+    and the mask of its components on their hyperplane: those whose crossing
+    lies within its noise bound of lambda, where u_i is 0."""
     (lam_star,), (noise,) = crossings(model, w[None, :])
-    return np.abs(lam - lam_star) <= noise
+    on = np.abs(lam - lam_star) <= noise
+    return np.where(on, 0.0, model.b * (lam - lam_star)), on
 
 
 def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -80,11 +83,10 @@ def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:
     """Evaluate gamma(w, lambda) and its parametric tangent; components on
-    their hyperplane (:func:`on_hyperplane`) are snapped to 0 and divergent."""
+    their hyperplane (see :func:`crossings`) are 0 and divergent."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    x = model.A_pinv @ w + lam * model.b
-    div = on_hyperplane(model, w, lam)
-    v = np.where(div, 0.0, untransform(x))
+    x, div = _on_fiber(model, w, lam)
+    v = untransform(x)
     tangent = np.empty(model.n)
     tangent[~div] = model.b[~div] / (2.0 * np.sqrt(np.abs(x[~div])))
     tangent[div] = model.c[div]  # limiting direction; magnitude diverges
@@ -103,7 +105,6 @@ def crossing_parameters(model: AllocationModel, w) -> FiberTrace:
     starts at -sign(b) and flips the signs of each merged group in turn.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    z = model.A_pinv @ w
     (lam_star,), (noise,) = crossings(model, w[None, :])
     order = np.argsort(lam_star)
     groups = [(float(lam_star[order[0]]), [int(order[0])])]
@@ -120,38 +121,47 @@ def crossing_parameters(model: AllocationModel, w) -> FiberTrace:
         sigma[list(idx)] *= -1
         seq.append(classify_orthant(model, sigma))
     return FiberTrace(
-        w=w, z=z, crossings=tuple((float(lam_star[i]), int(i)) for i in order),
+        w=w, crossings=tuple((float(lam_star[i]), int(i)) for i in order),
         distinct_crossings=distinct, orthant_sequence=tuple(seq),
         generic=len(distinct) == model.n,
         skipped_orthants=model.n + 1 - len(seq))
 
 
-def fiber_tangent_space(model: AllocationModel, v):
+def _kernel_direction(model: AllocationModel, v) -> tuple[np.ndarray, np.ndarray]:
+    """b_i / |v_i| per component, computed without a RuntimeWarning, and the
+    mask of its non-finite entries.  A state is on the boundary iff the mask
+    is not empty: some v_i is 0, or so small that b_i / |v_i| overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        t = model.b / np.abs(np.asarray(v, dtype=float))
+    return t, ~np.isfinite(t)
+
+
+def fiber_tangent_space(model: AllocationModel, v) -> np.ndarray:
     """Fiber tangent direction at a kinetic state.
 
-    At a regular state returns the unnormalized direction t_i = b_i / |v_i|
-    (spanning ker of the Jacobian).  At a boundary state returns
-    ``(degenerate_indices, limit_direction)``: the halted-axis index set and
-    the limiting alignment direction, supported on those axes with components
-    proportional to c_i.
+    At a regular state the unnormalized direction t_i = b_i / |v_i| (spanning
+    ker of the Jacobian); at a boundary state (:func:`_kernel_direction`) the
+    unit limiting alignment direction, proportional to c_i on the halted
+    axes, which are its support, and 0 elsewhere.
     """
-    v = np.asarray(v, dtype=float)
-    halted = np.abs(v) <= EPS_ZERO
+    t, halted = _kernel_direction(model, v)
     if not halted.any():
-        return model.b / np.abs(v)
+        return t
     direction = np.where(halted, model.c, 0.0)
-    direction = direction / np.linalg.norm(direction)
-    return frozenset(np.nonzero(halted)[0].tolist()), direction
+    return direction / np.linalg.norm(direction)
 
 
 def forward_progress(model: AllocationModel, v) -> float:
     """Projection of the parametric fiber tangent onto the central direction.
 
     Equals sum_i b_i^2 / (2 |v_i| sqrt(|b_i|)); strictly positive at regular
-    states, so the fiber never stalls or reverses along c.
+    states, so the fiber never stalls or reverses along c, and +inf at a
+    boundary state (:func:`_kernel_direction`).
     """
-    v = np.asarray(v, dtype=float)
-    return float(np.sum(model.b ** 2 / (2.0 * np.abs(v) * np.sqrt(np.abs(model.b)))))
+    t, halted = _kernel_direction(model, v)
+    if halted.any():
+        return math.inf
+    return float(np.sum(np.abs(t) * np.sqrt(np.abs(model.b)))) / 2.0
 
 
 def asymptotic_diagnostics(model: AllocationModel, w, lam_list) -> list[dict]:

@@ -20,10 +20,6 @@ from .errors import (
 RANK_RTOL = 1e-10
 #: Relative threshold on |b_i| for a degenerate redundancy check.
 B_RTOL = 1e-9
-#: Absolute threshold below which a component of a bare state counts as
-#: halted; a bare state has no task scale.  Fiber computations use the
-#: crossings' noise bound instead (fibers.crossings).
-EPS_ZERO = 1e-12
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 monotone section-intersection solving.
 
 The potential Phi(v) = sum_i b_i sign(v_i) ln|v_i| is constant on the leaves
-of the foliation orthogonal to the fibers.  Along a fiber, u = z + lambda b
+of the foliation orthogonal to the fibers, -inf where a v_i is 0.  On a fiber
 with u_i = b_i (lambda - lambda*_i), it is strictly increasing on every open
 segment between crossings, from -inf to +inf, so each segment meets each leaf
 once.  Layer l's segment (lo, hi) runs from the l-th to the l+1-th smallest
@@ -42,9 +42,9 @@ from .errors import (
     WrongShapeError,
     row_label,
 )
-from .fibers import (FiberTrace, _rowwise_matvec, crossing_parameters,
-                     crossings, on_hyperplane)
-from .model import EPS_ZERO, AllocationModel
+from .fibers import (FiberTrace, _kernel_direction, _on_fiber, _rowwise_matvec,
+                     crossing_parameters, crossings)
+from .model import AllocationModel
 from .strata import OrthantSignature, classify_orthant
 
 #: Newton steps allowed per row of a section solve (a handful suffice).
@@ -57,15 +57,13 @@ SOLVED, REFUSED, NO_CONVERGENCE, OUT_OF_RANGE = range(4)
 
 @dataclass(frozen=True)
 class PotentialValue:
-    """Potential evaluation result; infinite exactly when a component halts.
+    """Potential evaluation result; -inf exactly when a component halts.
 
-    ``value`` is finite iff ``boundary_indices`` is empty.  Simultaneous
-    divergences of opposite sign set ``indeterminate`` and value NaN.
+    ``value`` is finite iff ``boundary_indices`` is empty.
     """
 
     value: float
     boundary_indices: frozenset[int]
-    indeterminate: bool = False
 
     @property
     def finite(self) -> bool:
@@ -83,60 +81,53 @@ class SectionPoint:
     layer: int
 
 
-def _signed_log_sum(b: np.ndarray, u: np.ndarray, boundary: np.ndarray):
-    """Evaluate sum b_i sign(u_i) ln|u_i| with divergence sentinels.
+def phi_sum(b: np.ndarray, sign, log_abs) -> np.ndarray:
+    """The Phi sum over the last axis, sum_i b_i sign_i ln|u_i|, from the
+    signs and the logs of u."""
+    return np.sum(b * sign * log_abs, axis=-1)
 
-    The components in the ``boundary`` mask diverge; one exactly zero takes
-    the sign of its orthant-entry limit, sign(b_i).
-    """
-    if not boundary.any():
-        return float(np.sum(b * np.sign(u) * np.log(np.abs(u)))), frozenset(), False
-    signs = np.where(u == 0, np.sign(b), np.sign(u))
-    # term b_i sign(u_i) ln|u_i| -> -inf when b_i sign(u_i) > 0, +inf when < 0
-    coeffs = b[boundary] * signs[boundary]
-    to_minus = np.any(coeffs > 0)
-    to_plus = np.any(coeffs < 0)
-    idx = frozenset(np.nonzero(boundary)[0].tolist())
-    if to_minus and to_plus:
-        return float("nan"), idx, True
-    return (float("-inf") if to_minus else float("inf")), idx, False
+
+def _phi(b: np.ndarray, u: np.ndarray) -> PotentialValue:
+    """The Phi sum at u, the zeros of u its boundary indices.  A zero takes
+    the sign of its orthant-entry limit, sign(b_i), so its term b_i sign(b_i)
+    ln 0, and the sum, is -inf."""
+    zero = u == 0
+    with np.errstate(divide="ignore"):
+        value = phi_sum(b, np.where(zero, np.sign(b), np.sign(u)), np.log(np.abs(u)))
+    return PotentialValue(float(value), frozenset(np.flatnonzero(zero).tolist()))
 
 
 def potential(model: AllocationModel, v) -> PotentialValue:
-    """Global potential Phi(v) = sum_i b_i sign(v_i) ln|v_i|."""
-    v = np.asarray(v, dtype=float)
-    value, idx, indet = _signed_log_sum(model.b, v, np.abs(v) <= EPS_ZERO)
-    return PotentialValue(value=value, boundary_indices=idx, indeterminate=indet)
+    """Global potential Phi(v) = sum_i b_i sign(v_i) ln|v_i|, -inf where some
+    v_i = 0."""
+    return _phi(model.b, np.asarray(v, dtype=float))
 
 
 def potential_gradient(model: AllocationModel, v) -> np.ndarray:
-    """Gradient of the potential, (b_i / |v_i|)_i; regular states only."""
-    v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) <= EPS_ZERO):
+    """Gradient of the potential, (b_i / |v_i|)_i; regular states only
+    (see :func:`fiberalloc.fibers.fiber_tangent_space`)."""
+    grad, halted = _kernel_direction(model, v)
+    if halted.any():
         raise BoundaryStateError("gradient undefined at a boundary state")
-    return model.b / np.abs(v)
+    return grad
 
 
 def potential_along_fiber(model: AllocationModel, w, lam: float) -> PotentialValue:
     """Fiber-restricted potential C_w(lambda) = Phi(gamma(w, lambda)).
 
     Evaluated directly in transformed coordinates with the 1/2 factor from the
-    square-root transform: (1/2) sum b_i sign(u_i) ln|u_i| with u = z + lambda b,
-    u_i = 0 on its hyperplane (:func:`fiberalloc.fibers.on_hyperplane`).
+    square-root transform: (1/2) sum b_i sign(u_i) ln|u_i| with u_i = b_i
+    (lambda - lambda*_i), 0 on its hyperplane (see fibers.crossings).
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    u = model.A_pinv @ w + lam * model.b
-    on = on_hyperplane(model, w, lam)
-    value, idx, indet = _signed_log_sum(model.b, np.where(on, 0.0, u), on)
-    return PotentialValue(value=0.5 * value, boundary_indices=idx,
-                          indeterminate=indet)
+    u, _ = _on_fiber(model, np.atleast_1d(np.asarray(w, dtype=float)), lam)
+    phi = _phi(model.b, u)
+    return PotentialValue(0.5 * phi.value, phi.boundary_indices)
 
 
 def potential_slope(model: AllocationModel, w, lam: float) -> float:
     """d C_w / d lambda = sum b_i^2 / (2 v_i^2); strictly positive."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    u = model.A_pinv @ w + lam * model.b
-    if on_hyperplane(model, w, lam).any():
+    u, on = _on_fiber(model, np.atleast_1d(np.asarray(w, dtype=float)), lam)
+    if on.any():
         raise CrossingStateError(f"lambda = {lam:g} sits on a hyperplane crossing")
     return float(np.sum(model.b ** 2 / (2.0 * np.abs(u))))
 
@@ -155,15 +146,14 @@ def potential_near_crossing(model: AllocationModel, trace: FiberTrace,
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     lam_star, idx = trace.distinct_crossings[crossing_index]
-    u = trace.z + lam_star * model.b
-    vanish = np.zeros(model.n, dtype=bool)
+    u, vanish = _on_fiber(model, trace.w, lam_star)
     vanish[list(idx)] = True
     # u_i = b_i * (+/- delta) for the vanishing components: ln|u_i| splits
     sign = np.where(vanish, np.sign(model.b) * (1.0 if side == "above" else -1.0),
                     np.sign(u))
     with np.errstate(divide="ignore"):
         log_u = np.where(vanish, np.log(np.abs(model.b)) + log_delta, np.log(np.abs(u)))
-    return 0.5 * float(np.sum(model.b * sign * log_u))
+    return 0.5 * float(phi_sum(model.b, sign, log_u))
 
 
 def fiber_segments(model: AllocationModel, trace: FiberTrace):
@@ -309,7 +299,8 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
     It names the row ``first_row`` + its index in W, a lifted sample at time
     ``t[row]`` when ``t`` is given: OriginExcludedError for a REFUSED zero
     task, NonGenericSegmentError for another REFUSED row, else
-    SectionSolveError (ExtremalSolveError on layers 0 and n).
+    SectionSolveError (ExtremalSolveError on layers 0 and n), whose reason
+    names a non-finite task, overflowed crossings or an unrepresentable state.
     """
     if not status.any():   # SOLVED is 0
         return
@@ -324,8 +315,15 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
         raise NonGenericSegmentError(
             f"the fiber of {where} (w = {W[k]}) skips layer {layer}: its "
             "bounding crossings lie within the rounding bound of lambda*")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_star, noise = crossings(model, W[k:k + 1])
     if status[k] == NO_CONVERGENCE:
         reason = f"no convergence in {NEWTON_MAX_ITER} Newton steps"
+    elif not np.all(np.isfinite(W[k])):
+        reason = "the task is not finite"
+    elif not np.all(np.isfinite(lam_star + noise)):
+        reason = ("its crossings lambda*_i = -(A_pinv w)_i / b_i or their "
+                  "noise bounds overflow, so no state was computed")
     else:
         reason = ("the state has a zero, subnormal or non-finite component or "
                   "squares that underflow (the leaf point lies outside the "

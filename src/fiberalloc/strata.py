@@ -123,31 +123,21 @@ def enumerate_layer(model: AllocationModel, l: int) -> list[OrthantSignature]:
     return out
 
 
-def boundary_strata(model: AllocationModel, sig: OrthantSignature,
-                    max_codim: int = 2) -> list[StratumDescriptor]:
-    """Faces and (by default) codim-2 strata of one orthant boundary.
+def boundary_strata(model: AllocationModel,
+                    sig: OrthantSignature) -> list[StratumDescriptor]:
+    """Faces and codim-2 strata of one orthant boundary.
 
     Codim-2 strata are hinges when they pair an entry with an exit index and
-    folds when both indices come from the same portal.  ``max_codim`` above 2
-    additionally reports deeper intersections, classified as hinge when the
-    index set mixes both portals.
+    folds when both indices come from the same portal.
     """
     n = model.n
     strata = []
     for i in range(n):
         kind = "entry-portal-face" if i in sig.entry_set else "exit-portal-face"
         strata.append(StratumDescriptor((sig,), frozenset({i}), kind, n - 1))
-    for codim in range(2, max_codim + 1):
-        for idx in combinations(range(n), codim):
-            idx = frozenset(idx)
-            n_entry = len(idx & sig.entry_set)
-            if n_entry == codim:
-                kind = "entry-fold"
-            elif n_entry == 0:
-                kind = "exit-fold"
-            else:
-                kind = "hinge"
-            strata.append(StratumDescriptor((sig,), idx, kind, n - codim))
+    for idx in map(frozenset, combinations(range(n), 2)):
+        kind = ("exit-fold", "hinge", "entry-fold")[len(idx & sig.entry_set)]
+        strata.append(StratumDescriptor((sig,), idx, kind, n - 2))
     return strata
 
 

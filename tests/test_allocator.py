@@ -26,7 +26,6 @@ from fiberalloc import (
     section_inverse,
     smoothness_probe,
 )
-from fiberalloc.model import EPS_ZERO
 from fiberalloc.potential import OUT_OF_RANGE, SOLVED
 from conftest import assert_on_leaf, log_potential, model_with_b, random_model
 
@@ -53,13 +52,7 @@ class TestExtremalInverse:
             v = extremal_inverse(m, w, C)
             err = np.linalg.norm(actuation(m, v) - w)
             assert err <= 1e-9 * (1.0 + np.linalg.norm(w))
-            pv = potential(m, v)
-            if pv.finite:
-                assert pv.value == pytest.approx(C, abs=1e-8)
-            else:
-                # the level sits below the boundary band: the solver reached
-                # it in split form, leaving a component within eps_zero of 0
-                assert np.min(np.abs(v)) <= EPS_ZERO
+            assert potential(m, v).value == pytest.approx(C, abs=1e-8)
 
     def test_orthant_confinement(self):
         rng = np.random.default_rng(103)

@@ -163,6 +163,30 @@ class TestFoliation:
             assert len(rows) == 8 * 5
             assert {r[4] for r in rows} <= {"(+,-,+)", "(-,+,+)", "(-,-,-)"}
 
+    def test_orthant_is_its_layer(self, model_file, tmp_path):
+        # --orthant keeps the rows of its layer's run that lie in the orthant
+        model = build_model([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        layer = classify_orthant(model, (1, -1, 1)).layer
+        outs = []
+        for option in ("--orthant=(+,-,+)", f"--layer={layer}"):
+            out = tmp_path / option[2:9]
+            assert main(["foliation", "--model", model_file, "--out", str(out),
+                         option, "--C", "0.5", "--grid", "8"]) == 0
+            _, _, rows = read_csv(out / "foliation_C0.5.csv")
+            outs.append(rows)
+        assert outs[0] and {r[4] for r in outs[0]} == {"(+,-,+)"}
+        assert outs[0] == [r for r in outs[1] if r[4] == "(+,-,+)"]
+
+    @pytest.mark.parametrize("orthant", ["+,-", "+,x,+", "+,-,+,+"],
+                             ids=["short", "bad-sign", "long"])
+    def test_invalid_orthant_is_validation_error(self, model_file, tmp_path,
+                                                 capsys, orthant):
+        rc = main(["foliation", "--model", model_file, "--out", str(tmp_path),
+                   f"--orthant={orthant}", "--C", "0"])
+        assert rc == 1
+        assert "validation error: sigma must be a +/-1 vector of length 3" in \
+            capsys.readouterr().err
+
 
 class TestStrata:
     def test_layer_graph(self, model_file, tmp_path, capsys):
@@ -189,6 +213,19 @@ class TestInvert:
         rc = main(["invert", "--model", model_file, "--w=0,1e150", "--C=-200"])
         assert rc == 2
         assert "row 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w, reason", [
+        ("--w=1.7e308,1.7e308", "crossings lambda*_i = -(A_pinv w)_i / b_i or "
+                                "their noise bounds overflow"),
+        ("--w=inf,1", "the task is not finite"),
+    ], ids=["overflowed-crossings", "infinite-task"])
+    def test_no_state_computed_names_the_cause(self, model_file, capsys, w,
+                                               reason):
+        rc = main(["invert", "--model", model_file, w, "--layer", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "section solve failed at row 0" in err and reason in err
+        assert "the state has" not in err
 
     @pytest.mark.parametrize("w", ["--w=1", "--w=1,2,3"])
     def test_wrong_task_length_is_validation_error(self, model_file, capsys, w):

@@ -77,9 +77,23 @@ class TestTangentSpace:
         np.testing.assert_allclose(t, [0.70711, -0.70711], atol=5e-6)
 
     def test_boundary_alignment(self, m2):
-        idx, direction = fiber_tangent_space(m2, [SQRT2, 0.0])
-        assert idx == {1}
+        direction = fiber_tangent_space(m2, [SQRT2, 0.0])
+        assert set(np.flatnonzero(direction)) == {1}
         np.testing.assert_allclose(direction, [0.0, -1.0])
+
+    @pytest.mark.parametrize("v, halted", [
+        ([1e-13, 1.0], set()),
+        ([5e-324, 1.0], {0}),
+    ], ids=["below-old-cut-off", "subnormal-overflow"])
+    def test_boundary_iff_b_over_v_not_finite(self, m2, v, halted):
+        # 1e-13 is regular; b_0 / 5e-324 overflows, without a RuntimeWarning
+        t = fiber_tangent_space(m2, v)
+        if halted:
+            assert set(np.flatnonzero(t)) == halted
+            assert forward_progress(m2, v) == math.inf
+        else:
+            np.testing.assert_allclose(t, m2.b / np.abs(v), rtol=1e-15)
+            assert math.isfinite(forward_progress(m2, v))
 
     def test_inverse_scaling(self, m2):
         t1 = fiber_tangent_space(m2, [1.0, 1.0])

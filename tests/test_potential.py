@@ -12,6 +12,7 @@ from fiberalloc import (
     crossing_parameters,
     extremal_inverse,
     fiber_segments,
+    fiber_tangent_space,
     jacobian,
     layer_section,
     potential,
@@ -22,7 +23,7 @@ from fiberalloc import (
     section_intersection,
 )
 from fiberalloc.potential import REFUSED
-from conftest import assert_on_leaf, random_model
+from conftest import assert_on_leaf, log_potential, random_model
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
@@ -55,9 +56,48 @@ class TestPotential:
         assert p.boundary_indices == {1}
         assert not p.finite
 
-    def test_opposing_divergence_is_indeterminate(self, m2):
+    def test_bare_state_boundary_is_exact_zero(self, m2):
+        # a component of 1e-15 is regular; only the exact zero halts, and its
+        # term takes the orthant-entry limit, -inf
+        p = potential(m2, [1.0, 1e-15])
+        assert p.finite
+        assert p.value == pytest.approx(-INV_SQRT2 * math.log(1e-15))
         p = potential(m2, [0.0, 1e-15])
-        assert p.indeterminate
+        assert p.value == -math.inf
+        assert p.boundary_indices == {0}
+
+    def test_regular_below_the_old_cut_off(self, m2):
+        # a bare state with a component below 1e-12 counted as halted
+        v = [1e-13, 1.0]
+        p = potential(m2, v)
+        assert p.finite
+        assert p.value == pytest.approx(INV_SQRT2 * math.log(1e-13))
+        np.testing.assert_allclose(potential_gradient(m2, v),
+                                   m2.b / np.abs(v), rtol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 8), model_seed=st.integers(0, 2**32 - 1),
+           exponents=st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8))
+    def test_regular_at_every_normal_magnitude(self, n, model_seed, exponents,
+                                               signs):
+        # |v_i| = 10**U(-300, 300), nonzero and not subnormal, is regular:
+        # Phi is the log-form sum, the gradient and tangent are b / |v|
+        m = random_model(np.random.default_rng(model_seed), n)
+        v = np.array(signs[:n]) * 10.0 ** np.array(exponents[:n])
+        p = potential(m, v)
+        assert p.finite
+        # the same sum, up to its summation order
+        bound = 8 * np.finfo(float).eps * np.sum(np.abs(m.b * np.log(np.abs(v))))
+        assert abs(p.value - log_potential(m, v)[0]) <= bound
+        with np.errstate(over="ignore"):
+            expect = m.b / np.abs(v)
+        if np.all(np.isfinite(expect)):
+            assert np.array_equal(potential_gradient(m, v), expect)
+            assert np.array_equal(fiber_tangent_space(m, v), expect)
+        else:
+            with pytest.raises(BoundaryStateError):
+                potential_gradient(m, v)
 
 
 class TestGradient:
@@ -68,9 +108,12 @@ class TestGradient:
         np.testing.assert_allclose(
             potential_gradient(m2, [2.0, 1.0]), [0.35355, -0.70711], atol=5e-6)
 
-    def test_boundary_raises(self, m2):
+    @pytest.mark.parametrize("v", [[1.0, 0.0], [1.0, 5e-324]],
+                             ids=["zero", "subnormal-overflow"])
+    def test_boundary_raises(self, m2, v):
+        # b_i / |v_i| is not finite: 1/0, or an overflow that raises no warning
         with pytest.raises(BoundaryStateError):
-            potential_gradient(m2, [1.0, 0.0])
+            potential_gradient(m2, v)
 
     def test_matches_finite_differences(self, m2):
         v = np.array([1.3, -0.7])
