@@ -8,7 +8,6 @@ the orthants, and right-inverse allocators confined to a single orthant.
 from .allocator import (
     HingeProximity,
     LiftedTrajectory,
-    SectionInverseConfig,
     extremal_inverse,
     extremal_inverse_batch,
     lift_trajectory,
@@ -59,6 +58,7 @@ from .potential import (
     potential_slope,
     raise_for_status,
     section_intersection,
+    solve_rows,
 )
 from .strata import (
     OrthantSignature,

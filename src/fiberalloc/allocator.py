@@ -14,25 +14,11 @@ import numpy as np
 
 from .errors import ConfinementError, WrongShapeError
 from .model import AllocationModel, untransform
-from .potential import SectionPoint, layer_point, layer_section, raise_for_status
-from .strata import orthant_masks
+from .potential import SectionPoint, layer_point, solve_rows
+from .strata import extremal_signature, orthant_masks
 
 #: Relative min|v_i| margin below which a transitional inverse reports hinge proximity.
 HINGE_MARGIN = 1e-6
-#: Rows the batch inverses solve at once.
-SOLVE_CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class SectionInverseConfig:
-    """Configuration of a section-based right-inverse.
-
-    ``layer`` selects the transverse layer (n and 0 are the extremal orthants,
-    the only globally smooth choices); ``C`` selects the leaf.
-    """
-
-    layer: int
-    C: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -80,53 +66,30 @@ def extremal_inverse_batch(model: AllocationModel, W, C: float = 0.0,
                            branch: str = "positive") -> np.ndarray:
     """Extremal inverse for a batch of tasks (one row per task).
 
-    The layer-n (positive) or layer-0 (negative) batch section solve; a row
-    it cannot solve raises ExtremalSolveError naming the row index and its
-    task.
+    The :func:`fiberalloc.potential.solve_rows` of the layer-n (positive) or
+    layer-0 (negative) leaf C; a row it cannot solve raises
+    ExtremalSolveError naming the row index and its task.
     """
-    if branch not in ("positive", "negative"):
-        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
-    return _solve_rows(model, W, model.n if branch == "positive" else 0, C)
+    return solve_rows(model, W, extremal_signature(model, branch).layer, C)[0]
 
 
-def _solve_rows(model: AllocationModel, W, layer: int, C: float,
-                t=None) -> np.ndarray:
-    """States of the task rows W on the layer-``layer`` leaf C.
+def section_inverse(model: AllocationModel, w, layer: int,
+                    C: float = 0.0) -> tuple[SectionPoint, HingeProximity | None]:
+    """Right-inverse on the layer-``layer`` global section, leaf C.
 
-    Solves SOLVE_CHUNK_ROWS rows at a time (bounding the working memory) with
-    :func:`fiberalloc.potential.layer_section`; the first row it cannot solve
-    raises its typed error (:func:`fiberalloc.potential.raise_for_status`),
-    naming it as a sample with its time ``t[row]`` when ``t`` is given.
-    """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    V = np.empty((W.shape[0], model.n))
-    for lo in range(0, W.shape[0], SOLVE_CHUNK_ROWS):
-        chunk = W[lo:lo + SOLVE_CHUNK_ROWS]
-        V[lo:lo + SOLVE_CHUNK_ROWS], _, status = layer_section(model, chunk, layer, C)
-        raise_for_status(model, chunk, layer, status, first_row=lo, t=t)
-    return V
-
-
-def section_inverse(model: AllocationModel, w,
-                    config: SectionInverseConfig) -> tuple[SectionPoint, HingeProximity | None]:
-    """Right-inverse on the layer-``config.layer`` global section.
-
-    The batch-of-one :func:`fiberalloc.potential.layer_section`.  For
+    The batch-of-one :func:`fiberalloc.potential.solve_rows`.  Layers n and 0
+    are the extremal orthants, the only globally smooth choices.  For
     transitional layers the origin is excluded (the central fiber skips them),
     and results with min|v_i| under HINGE_MARGIN * max|v_i| carry a
     HingeProximity report naming the two smallest components.
     """
-    sp = layer_point(model, w, config.layer, config.C)
-
-    report = None
-    if 0 < config.layer < model.n:
-        absv = np.abs(sp.v)
-        floor = HINGE_MARGIN * np.max(absv)
-        if np.min(absv) < floor:
-            order = np.argsort(absv)
-            report = HingeProximity(index_pair=(int(order[0]), int(order[1])),
-                                    min_abs_v=float(absv[order[0]]))
-    return sp, report
+    sp = layer_point(model, w, layer, C)
+    absv = np.abs(sp.v)
+    if 0 < layer < model.n and np.min(absv) < HINGE_MARGIN * np.max(absv):
+        order = np.argsort(absv)
+        return sp, HingeProximity(index_pair=(int(order[0]), int(order[1])),
+                                  min_abs_v=float(absv[order[0]]))
+    return sp, None
 
 
 def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
@@ -139,15 +102,30 @@ def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
     return untransform(np.atleast_1d(np.asarray(w, dtype=float)) @ model.A_pinv.T)
 
 
+def _allocate(model: AllocationModel, W: np.ndarray, allocator: str,
+              layer: int | None, C: float, t=None) -> np.ndarray:
+    """States of the task rows W under ``allocator``, as lift_trajectory
+    says; a solve error names row k as a sample at ``t[k]`` given ``t``."""
+    if allocator == "naive":
+        return naive_minimum_norm_inverse(model, W)
+    if allocator not in ("extremal", "section"):
+        raise ValueError(f"unknown allocator {allocator!r}")
+    layer = model.n if layer is None else layer
+    if allocator == "extremal" and layer not in (0, model.n):
+        raise ValueError(f"the extremal allocator solves on layer 0 or "
+                         f"{model.n}, not on layer {layer}")
+    return solve_rows(model, W, layer, C, t=t)[0]
+
+
 def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
-                    config: SectionInverseConfig | None = None,
-                    branch: str = "positive") -> LiftedTrajectory:
+                    layer: int | None = None, C: float = 0.0) -> LiftedTrajectory:
     """Lift a sampled task trajectory through one allocator, per sample.
 
     ``allocator`` is one of 'extremal', 'section', or 'naive'; ``w_samples``
-    holds one task row per time stamp.  Section errors name the failing
-    sample and its time, extremal ones the sample.  An extremal lift that
-    leaves its orthant raises ConfinementError.
+    holds one task row per time stamp.  'extremal' and 'section' solve on the
+    leaf C of layer ``layer`` (n when None), 'extremal' on layer 0 or n only
+    (ValueError otherwise), and an error names the sample and its time.  An
+    extremal lift that leaves its orthant raises ConfinementError.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))
@@ -156,17 +134,7 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
                               f"shape {t.shape}: expected {(t.shape[0], model.m)}")
     if np.any(np.diff(t) <= 0):
         raise ValueError("time stamps must be strictly increasing")
-    if config is None:
-        config = SectionInverseConfig(layer=model.n)
-
-    if allocator == "extremal":
-        vs = extremal_inverse_batch(model, w_samples, config.C, branch=branch)
-    elif allocator == "naive":
-        vs = naive_minimum_norm_inverse(model, w_samples)
-    elif allocator == "section":
-        vs = _solve_rows(model, w_samples, config.layer, config.C, t=t)
-    else:
-        raise ValueError(f"unknown allocator {allocator!r}")
+    vs = _allocate(model, w_samples, allocator, layer, C, t=t)
 
     speed = np.zeros(t.shape[0])
     speed[1:] = np.linalg.norm(np.diff(vs, axis=0), axis=1) / np.diff(t)
@@ -181,28 +149,21 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
 
 def smoothness_probe(model: AllocationModel, w0, direction, C: float,
                      scales, allocator: str = "extremal",
-                     branch: str = "positive") -> list[dict]:
-    """Difference quotients of an allocator along a task direction.
+                     layer: int | None = None) -> list[dict]:
+    """Difference quotients |v(w0 + h d) - v(w0)| / h of an allocator along a
+    unit task direction d, one per scale h.
 
-    For the extremal allocator the quotients settle to a finite limit
-    everywhere (including w0 = 0); the naive baseline's diverge like
-    h^(-1/2) at hyperplane-crossing tasks.
+    ``allocator``, ``layer`` and ``C`` are as in :func:`lift_trajectory`, and
+    w0 and every w0 + h d are solved in one batch.  For the extremal
+    allocator the quotients settle to a finite limit everywhere (including
+    w0 = 0); the naive baseline's diverge like h^(-1/2) at
+    hyperplane-crossing tasks.
     """
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     d = np.atleast_1d(np.asarray(direction, dtype=float))
     d = d / np.linalg.norm(d)
-
-    def solve(w):
-        if allocator == "extremal":
-            return extremal_inverse(model, w, C, branch=branch)
-        if allocator == "naive":
-            return naive_minimum_norm_inverse(model, w)
-        raise ValueError(f"unknown allocator {allocator!r}")
-
-    v0 = solve(w0)
-    rows = []
-    for h in scales:
-        vh = solve(w0 + h * d)
-        rows.append({"h": float(h),
-                     "quotient": float(np.linalg.norm(vh - v0) / h)})
-    return rows
+    scales = np.asarray(scales, dtype=float)
+    V = _allocate(model, np.vstack([w0, w0 + np.outer(scales, d)]), allocator,
+                  layer, C)
+    return [{"h": float(h), "quotient": float(np.linalg.norm(v - V[0]) / h)}
+            for h, v in zip(scales, V[1:])]

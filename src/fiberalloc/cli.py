@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocator import SectionInverseConfig, lift_trajectory, section_inverse
+from .allocator import lift_trajectory, section_inverse
 from .errors import (
     BoundaryStateError,
     ConfinementError,
@@ -36,6 +36,7 @@ from .potential import SOLVED, layer_section, phi_sum
 from .strata import (
     classify_orthant,
     enumerate_layer,
+    extremal_signature,
     graph_to_dot,
     graph_to_json,
     layer_adjacency_graph,
@@ -195,13 +196,16 @@ def cmd_strata(args) -> int:
     return 0
 
 
+def _layer(model: AllocationModel, args) -> int:
+    """The layer of ``--layer``, or else the extremal layer of ``--branch``."""
+    return (args.layer if args.layer is not None
+            else extremal_signature(model, args.branch).layer)
+
+
 def cmd_invert(args) -> int:
     model = load_model(args.model)
     w = _parse_vector(args.w)
-    layer = args.layer
-    if layer is None:
-        layer = model.n if args.branch == "positive" else 0
-    sp, report = section_inverse(model, w, SectionInverseConfig(layer=layer, C=args.C))
+    sp, report = section_inverse(model, w, _layer(model, args), args.C)
     v = sp.v
     doc = {
         "w": [float(x) for x in w],
@@ -227,10 +231,8 @@ def cmd_lift(args) -> int:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     t, w_samples = data[:, 0], data[:, 1:]
 
-    config = SectionInverseConfig(layer=args.layer if args.layer is not None
-                                  else model.n, C=args.C)
     lifted = lift_trajectory(model, t, w_samples, args.allocator,
-                             config=config, branch=args.branch)
+                             _layer(model, args), args.C)
 
     header = ["t"] + [f"v_{i+1}" for i in range(model.n)] + \
         ["speed", "min_abs_v", "signature"]
@@ -279,13 +281,18 @@ def _strata_args(p) -> None:
     p.set_defaults(func=cmd_strata)
 
 
-def _invert_args(p) -> None:
-    p.add_argument("--w", required=True)
-    p.add_argument("--C", type=float, default=0.0)
+def _layer_args(p) -> None:
+    """--layer or --branch, read by :func:`_layer`."""
     group = p.add_mutually_exclusive_group()
     group.add_argument("--layer", type=int, default=None)
     group.add_argument("--branch", choices=["positive", "negative"],
                        default="positive")
+
+
+def _invert_args(p) -> None:
+    p.add_argument("--w", required=True)
+    p.add_argument("--C", type=float, default=0.0)
+    _layer_args(p)
     p.set_defaults(func=cmd_invert)
 
 
@@ -295,9 +302,7 @@ def _lift_args(p) -> None:
     p.add_argument("--allocator", choices=["extremal", "section", "naive"],
                    default="extremal")
     p.add_argument("--C", type=float, default=0.0)
-    p.add_argument("--layer", type=int, default=None)
-    p.add_argument("--branch", choices=["positive", "negative"],
-                   default="positive")
+    _layer_args(p)
     p.set_defaults(func=cmd_lift)
 
 

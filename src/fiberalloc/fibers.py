@@ -127,12 +127,22 @@ def crossing_parameters(model: AllocationModel, w) -> FiberTrace:
         skipped_orthants=model.n + 1 - len(seq))
 
 
+def _bare_state(v) -> np.ndarray:
+    """v as a float array; ValueError naming its first non-finite component."""
+    v = np.asarray(v, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"state component {bad[0]} is not finite: {v.flat[bad[0]]}")
+    return v
+
+
 def _kernel_direction(model: AllocationModel, v) -> tuple[np.ndarray, np.ndarray]:
     """b_i / |v_i| per component, computed without a RuntimeWarning, and the
     mask of its non-finite entries.  A state is on the boundary iff the mask
-    is not empty: some v_i is 0, or so small that b_i / |v_i| overflows."""
+    is not empty: some v_i is 0, or so small that b_i / |v_i| overflows.
+    Raises ValueError for a non-finite v_i."""
     with np.errstate(divide="ignore", over="ignore"):
-        t = model.b / np.abs(np.asarray(v, dtype=float))
+        t = model.b / np.abs(_bare_state(v))
     return t, ~np.isfinite(t)
 
 

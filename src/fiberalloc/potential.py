@@ -42,8 +42,8 @@ from .errors import (
     WrongShapeError,
     row_label,
 )
-from .fibers import (FiberTrace, _kernel_direction, _on_fiber, _rowwise_matvec,
-                     crossing_parameters, crossings)
+from .fibers import (FiberTrace, _bare_state, _kernel_direction, _on_fiber,
+                     _rowwise_matvec, crossing_parameters, crossings)
 from .model import AllocationModel
 from .strata import OrthantSignature, classify_orthant
 
@@ -51,6 +51,8 @@ from .strata import OrthantSignature, classify_orthant
 NEWTON_MAX_ITER = 64
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 SQRT_TINY = math.sqrt(TINY)
+#: Rows a batch solve (solve_rows) passes to layer_section at once.
+SOLVE_CHUNK_ROWS = 4096
 #: Per-row status of a section solve (see layer_section).
 SOLVED, REFUSED, NO_CONVERGENCE, OUT_OF_RANGE = range(4)
 
@@ -99,8 +101,8 @@ def _phi(b: np.ndarray, u: np.ndarray) -> PotentialValue:
 
 def potential(model: AllocationModel, v) -> PotentialValue:
     """Global potential Phi(v) = sum_i b_i sign(v_i) ln|v_i|, -inf where some
-    v_i = 0."""
-    return _phi(model.b, np.asarray(v, dtype=float))
+    v_i = 0.  Raises ValueError for a non-finite component."""
+    return _phi(model.b, _bare_state(v))
 
 
 def potential_gradient(model: AllocationModel, v) -> np.ndarray:
@@ -129,7 +131,8 @@ def potential_slope(model: AllocationModel, w, lam: float) -> float:
     u, on = _on_fiber(model, np.atleast_1d(np.asarray(w, dtype=float)), lam)
     if on.any():
         raise CrossingStateError(f"lambda = {lam:g} sits on a hyperplane crossing")
-    return float(np.sum(model.b ** 2 / (2.0 * np.abs(u))))
+    with np.errstate(over="ignore"):   # a subnormal u_i gives +inf
+        return float(np.sum(model.b ** 2 / (2.0 * np.abs(u))))
 
 
 def potential_near_crossing(model: AllocationModel, trace: FiberTrace,
@@ -332,12 +335,28 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
     raise error(row, W[k], reason, t=t_row)
 
 
+def solve_rows(model: AllocationModel, W, layer: int, C: float,
+               t=None) -> tuple[np.ndarray, np.ndarray]:
+    """States and fiber parameters ``(V, lam)`` of the task rows W on the leaf
+    C in a layer-``layer`` orthant, solved by :func:`layer_section`
+    SOLVE_CHUNK_ROWS rows at a time (bounding the working memory).  The first
+    row it cannot solve raises its typed error (:func:`raise_for_status`),
+    named as a sample at time ``t[row]`` when ``t`` is given.
+    """
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    V, lam = np.empty((W.shape[0], model.n)), np.empty(W.shape[0])
+    for lo in range(0, W.shape[0], SOLVE_CHUNK_ROWS):
+        rows = slice(lo, lo + SOLVE_CHUNK_ROWS)
+        V[rows], lam[rows], status = layer_section(model, W[rows], layer, C)
+        raise_for_status(model, W[rows], layer, status, first_row=lo, t=t)
+    return V, lam
+
+
 def layer_point(model: AllocationModel, w, layer: int, C: float) -> SectionPoint:
-    """The batch-of-one :func:`layer_section`: the state of task w on the leaf
-    C in a layer-``layer`` orthant.  A failed row raises its typed error."""
-    W = np.atleast_1d(np.asarray(w, dtype=float))[None, :]
-    V, lam, status = layer_section(model, W, layer, C)
-    raise_for_status(model, W, layer, status)
+    """The batch-of-one :func:`solve_rows`: the state of task w on the leaf
+    C in a layer-``layer`` orthant, with its orthant signature."""
+    V, lam = solve_rows(model, np.atleast_1d(np.asarray(w, dtype=float))[None, :],
+                        layer, C)
     sig = classify_orthant(model, np.where(V[0] > 0, 1, -1))
     return SectionPoint(v=V[0], lam=float(lam[0]), C=C, orthant=sig,
                         layer=sig.layer)

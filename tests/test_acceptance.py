@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fiberalloc import (
-    SectionInverseConfig,
     actuation,
     build_model,
     enumerate_layer,

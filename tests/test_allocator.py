@@ -11,7 +11,6 @@ from fiberalloc import (
     ExtremalSolveError,
     NonGenericSegmentError,
     OriginExcludedError,
-    SectionInverseConfig,
     SectionSolveError,
     WrongShapeError,
     actuation,
@@ -131,7 +130,7 @@ class TestExtremalLogOffsetSolve:
 
     def test_non_finite_task_names_the_row(self, m3):
         # the row sits in the second chunk of the batch solve
-        k = import_module("fiberalloc.allocator").SOLVE_CHUNK_ROWS + 7
+        k = import_module("fiberalloc.potential").SOLVE_CHUNK_ROWS + 7
         W = np.ones((k + 3, 2))
         W[k, 0] = np.nan
         with pytest.raises(ExtremalSolveError) as exc:
@@ -189,7 +188,7 @@ class TestExtremalLogOffsetSolve:
 
 class TestSectionInverse:
     def test_middle_layer(self, m2):
-        sp, report = section_inverse(m2, [2.0], SectionInverseConfig(layer=1))
+        sp, report = section_inverse(m2, [2.0], 1)
         assert sp.layer == 1
         assert np.min(np.abs(sp.v)) > 0.0
         assert report is None
@@ -197,14 +196,14 @@ class TestSectionInverse:
 
     def test_origin_excluded(self, m2):
         with pytest.raises(OriginExcludedError):
-            section_inverse(m2, [0.0], SectionInverseConfig(layer=1))
+            section_inverse(m2, [0.0], 1)
 
     def test_non_generic_layer_skip(self, m2):
         # a fiber with merged crossings skips intermediate layers; build one
         # from a task whose crossings coincide (w = 0 shifted is generic, so
         # use the central fiber via a near-zero task on an asymmetric model)
         with pytest.raises((NonGenericSegmentError, OriginExcludedError)):
-            section_inverse(m2, [0.0], SectionInverseConfig(layer=1))
+            section_inverse(m2, [0.0], 1)
 
     def test_hinge_proximity_report(self, m3bal, monkeypatch):
         # a task generated by a state next to a hinge pulls the transitional
@@ -217,7 +216,7 @@ class TestSectionInverse:
         C = potential(m3bal, v_near).value
         monkeypatch.setattr(import_module("fiberalloc.allocator"),
                             "HINGE_MARGIN", 1e-3)
-        sp, report = section_inverse(m3bal, w, SectionInverseConfig(layer=layer, C=C))
+        sp, report = section_inverse(m3bal, w, layer, C)
         assert report is not None
         assert set(report.index_pair) == {0, 2}
         assert report.min_abs_v < 1e-3
@@ -233,7 +232,7 @@ class TestSectionInverse:
         w = actuation(m3, v)
         C = float(log_potential(m3, v)[0])
         assert crossing_parameters(m3, w).generic
-        sp, _ = section_inverse(m3, w, SectionInverseConfig(layer=1, C=C))
+        sp, _ = section_inverse(m3, w, 1, C)
         assert sp.layer == 1
         assert tuple(sp.orthant.sigma) == tuple(np.sign(v).astype(int))
         assert_on_leaf(m3, sp.v, w, C)
@@ -266,7 +265,6 @@ class TestBoundedSectionSolve:
         W[-1] = np.inf
         C = float(log_potential(m, v)[0])
         V, _, status = layer_section(m, W, layer, C)
-        config = SectionInverseConfig(layer=layer, C=C)
         solved = status == SOLVED
         assert not solved[-2:].any()
         if solved.any():
@@ -278,7 +276,7 @@ class TestBoundedSectionSolve:
                    for X in (np.asfortranarray(W), np.repeat(W, 2, axis=0)[::2])]
         for k in range(len(W)):
             if solved[k]:
-                v = section_inverse(m, W[k], config)[0].v
+                v = section_inverse(m, W[k], layer, C)[0].v
                 assert np.array_equal(v, V[k])
                 assert all(np.array_equal(v, V_l[k]) for V_l in layouts)
                 continue
@@ -287,7 +285,7 @@ class TestBoundedSectionSolve:
             with pytest.raises(errors, match=f"row {k}\\b"):
                 raise_for_status(m, W[k:], layer, status[k:], first_row=k)
             with pytest.raises(errors, match="row 0"):
-                section_inverse(m, W[k], config)
+                section_inverse(m, W[k], layer, C)
 
     @pytest.mark.parametrize("C", [-2000.0, 2000.0])
     def test_unrepresentable_state_names_the_row(self, m3, C):
@@ -302,7 +300,7 @@ class TestBoundedSectionSolve:
         monkeypatch.setattr(import_module("fiberalloc.potential"),
                             "NEWTON_MAX_ITER", 1)
         with pytest.raises(SectionSolveError, match="Newton") as exc:
-            section_inverse(m3, [3.0, -1.0], SectionInverseConfig(layer=2, C=7.0))
+            section_inverse(m3, [3.0, -1.0], 2, 7.0)
         assert exc.value.row == 0
         assert np.array_equal(exc.value.w, [3.0, -1.0])
 
@@ -391,9 +389,9 @@ class TestLiftTrajectory:
     def test_constant_task_zero_speed(self, m3):
         t = np.linspace(0.0, 1.0, 100)
         W = np.tile([1.0, 0.5], (100, 1))
-        for allocator in ("extremal", "naive", "section"):
-            lift = lift_trajectory(m3, t, W, allocator,
-                                   config=SectionInverseConfig(layer=1))
+        for allocator, layer in (("extremal", None), ("naive", None),
+                                 ("section", 1)):
+            lift = lift_trajectory(m3, t, W, allocator, layer)
             assert lift.max_speed == pytest.approx(0.0, abs=1e-9)
 
     def test_mismatched_shape_is_refused(self, m3):
@@ -405,12 +403,12 @@ class TestLiftTrajectory:
             lift_trajectory(m3, t[:4], W, "naive")
 
     def test_confinement_violation_is_typed(self, m2, monkeypatch):
-        def flipping(model, W, C=0.0, branch="positive"):
+        def flipping(model, W, layer, C, t=None):
             V = np.tile(model.c, (len(W), 1))
             V[3:] *= -1.0
-            return V
+            return V, np.zeros(len(W))
         monkeypatch.setattr(import_module("fiberalloc.allocator"),
-                            "extremal_inverse_batch", flipping)
+                            "solve_rows", flipping)
         t = np.linspace(0.0, 1.0, 6)
         with pytest.raises(ConfinementError, match="sample 3") as exc:
             lift_trajectory(m2, t, t[:, None], "extremal")
@@ -427,20 +425,30 @@ class TestLiftTrajectory:
         assert lift_trajectory(m, t, W, "extremal").signature_changes == 0
 
     def test_section_error_names_sample_and_time(self, m3):
+        # an extremal lift is the section lift on layer 0 or n, and its
+        # errors carry the same context
         t = np.linspace(0.0, 1.0, 6)
         W = np.tile([1.0, 0.5], (6, 1))
         W[3, 1] = np.nan
-        with pytest.raises(SectionSolveError, match=r"sample 3 \(t = 0\.6\)") as exc:
-            lift_trajectory(m3, t, W, "section",
-                            config=SectionInverseConfig(layer=1))
-        assert exc.value.row == 3
-        assert exc.value.t == t[3]
+        for allocator, layer in (("extremal", None), ("section", 1)):
+            with pytest.raises(SectionSolveError,
+                               match=r"sample 3 \(t = 0\.6\)") as exc:
+                lift_trajectory(m3, t, W, allocator, layer)
+            assert exc.value.row == 3
+            assert exc.value.t == t[3]
+
+    def test_extremal_allocator_takes_layer_0_or_n(self, m3):
+        t = np.linspace(0.0, 1.0, 4)
+        W = np.tile([1.0, 0.5], (4, 1))
+        with pytest.raises(ValueError, match="layer 0 or 3, not on layer 1"):
+            lift_trajectory(m3, t, W, "extremal", 1)
+        assert np.array_equal(lift_trajectory(m3, t, W, "extremal", 0, 0.2).v,
+                              extremal_inverse_batch(m3, W, 0.2, "negative"))
 
     def test_section_through_origin_reports_sample(self, m2):
         t = np.linspace(-1.0, 1.0, 21)  # crosses w = 0 at t = 0
         with pytest.raises(OriginExcludedError) as exc:
-            lift_trajectory(m2, t, t[:, None], "section",
-                            config=SectionInverseConfig(layer=1))
+            lift_trajectory(m2, t, t[:, None], "section", 1)
         assert any("sample 10" in str(arg) for arg in exc.value.args)
 
 
@@ -455,6 +463,17 @@ class TestSmoothnessProbe:
                                 allocator="naive")
         q = [r["quotient"] for r in rows]
         assert q[1] / q[0] == pytest.approx(10.0, rel=0.05)  # h^(-1/2) growth
+
+    def test_quotients_of_the_scalar_inverse(self, m3):
+        # the batch of w0 and every w0 + h d solves each row as alone
+        w0, scales = np.array([1.0, -0.5]), [1e-2, 1e-4, 1e-6]
+        d = np.array([0.6, 0.8]) / np.linalg.norm([0.6, 0.8])
+        for layer, branch in ((0, "negative"), (None, "positive")):
+            rows = smoothness_probe(m3, w0, d, 0.3, scales, layer=layer)
+            v0 = extremal_inverse(m3, w0, 0.3, branch)
+            assert [r["quotient"] for r in rows] == [
+                np.linalg.norm(extremal_inverse(m3, w0 + h * d, 0.3, branch)
+                               - v0) / h for h in scales]
 
     def test_both_finite_away_from_crossings(self, m2):
         for allocator in ("extremal", "naive"):

@@ -305,14 +305,36 @@ class TestLift:
                 writer.writerow([f"{float(x):.17g}" for x in r[:-1]] + [r[-1]])
             assert path.read_bytes() == (comment + text.getvalue()).encode()
 
+    def test_extremal_on_a_transitional_layer_is_validation_error(
+            self, model2_file, tmp_path, capsys):
+        rc = main(["lift", "--model", model2_file, "--trajectory",
+                   self.write_trajectory(tmp_path), "--allocator", "extremal",
+                   "--layer", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "validation error" in capsys.readouterr().err
+
+    def test_section_lift_takes_the_branch(self, model2_file, tmp_path):
+        traj = self.write_trajectory(tmp_path)
+        lifts = {}
+        for allocator, branch in (("section", "negative"),
+                                  ("extremal", "negative"),
+                                  ("section", "positive")):
+            out = tmp_path / branch
+            assert main(["lift", "--model", model2_file, "--trajectory", traj,
+                         "--allocator", allocator, "--branch", branch,
+                         "--out", str(out)]) == 0
+            lifts[allocator, branch] = (out / f"lift_{allocator}.csv").read_bytes()
+        assert lifts["section", "negative"] == lifts["extremal", "negative"]
+        assert lifts["section", "negative"] != lifts["section", "positive"]
+
     def test_confinement_violation_is_solver_error(self, model2_file, tmp_path,
                                                    capsys, monkeypatch):
-        def flipping(model, W, C=0.0, branch="positive"):
+        def flipping(model, W, layer, C, t=None):
             V = np.tile(model.c, (len(W), 1))
             V[10:] *= -1.0
-            return V
+            return V, np.zeros(len(W))
         monkeypatch.setattr(import_module("fiberalloc.allocator"),
-                            "extremal_inverse_batch", flipping)
+                            "solve_rows", flipping)
         rc = main(["lift", "--model", model2_file, "--trajectory",
                    self.write_trajectory(tmp_path), "--out", str(tmp_path)])
         assert rc == 2
@@ -351,6 +373,13 @@ class TestParser:
         rc, _, err = run_cli(main, ["invert", "--model", "m.json", "--w=1,2",
                                     "--layer", "3", "--branch", "negative"],
                              capsys)
+        assert rc == 2
+        assert "argument --branch: not allowed with argument --layer" in err
+
+    def test_lift_layer_and_branch_exclude_each_other(self, capsys):
+        rc, _, err = run_cli(main, ["lift", "--model", "m.json", "--trajectory",
+                                    "t.csv", "--layer", "1", "--branch",
+                                    "negative"], capsys)
         assert rc == 2
         assert "argument --branch: not allowed with argument --layer" in err
 

@@ -13,6 +13,7 @@ from fiberalloc import (
     extremal_inverse,
     fiber_segments,
     fiber_tangent_space,
+    forward_progress,
     jacobian,
     layer_section,
     potential,
@@ -98,6 +99,16 @@ class TestPotential:
         else:
             with pytest.raises(BoundaryStateError):
                 potential_gradient(m, v)
+
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("evaluate", [potential, potential_gradient,
+                                          fiber_tangent_space, forward_progress],
+                             ids=lambda f: f.__name__)
+    def test_non_finite_component_is_refused(self, m2, evaluate, value):
+        # a non-finite v_i is neither a regular state nor a boundary state
+        with pytest.raises(ValueError, match="component 0 is not finite"):
+            evaluate(m2, [value, 1.0])
 
 
 class TestGradient:
@@ -194,6 +205,11 @@ class TestPotentialSlope:
     def test_crossing_of_a_huge_task_raises(self, m2):
         with pytest.raises(CrossingStateError):
             potential_slope(m2, [5e20], -5e20 / SQRT2)
+
+    def test_subnormal_offset_is_inf(self, m2):
+        # u_i = b_i 1e-320 is subnormal, and b_i^2 / (2 |u_i|) overflows
+        # without a RuntimeWarning
+        assert potential_slope(m2, [0.0], 1e-320) == math.inf
 
     def test_matches_finite_difference(self, m2):
         h = 1e-7
