@@ -107,6 +107,8 @@ def _allocate(model: AllocationModel, W: np.ndarray, allocator: str,
     """States of the task rows W under ``allocator``, as lift_trajectory
     says; a solve error names row k as a sample at ``t[k]`` given ``t``."""
     if allocator == "naive":
+        if layer is not None or C != 0.0:
+            raise ValueError("the naive allocator takes no layer and no C")
         return naive_minimum_norm_inverse(model, W)
     if allocator not in ("extremal", "section"):
         raise ValueError(f"unknown allocator {allocator!r}")
@@ -124,8 +126,9 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     ``allocator`` is one of 'extremal', 'section', or 'naive'; ``w_samples``
     holds one task row per time stamp.  'extremal' and 'section' solve on the
     leaf C of layer ``layer`` (n when None), 'extremal' on layer 0 or n only
-    (ValueError otherwise), and an error names the sample and its time.  An
-    extremal lift that leaves its orthant raises ConfinementError.
+    (ValueError otherwise), and an error names the sample and its time.
+    'naive' takes neither a layer nor a nonzero C (ValueError).  An extremal
+    lift that leaves its orthant raises ConfinementError.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))

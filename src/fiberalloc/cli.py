@@ -75,7 +75,7 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
     commas make csv.writer quote it), before column ``at`` of ``values``
     (after the last one when ``at`` is None).  Each distinct mask is
     classified once, into a row format of its own, and rows are formatted
-    CSV_CHUNK_ROWS at a time, with one %-format each.
+    CSV_CHUNK_ROWS at a time, with one %-format per chunk.
     """
     cols = ["%.17g"] * values.shape[1]
     at = len(cols) if at is None else at
@@ -90,8 +90,8 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
     with _csv_file(path, header, seed) as fh:
         for lo in range(0, len(values), CSV_CHUNK_ROWS):
             hi = lo + CSV_CHUNK_ROWS
-            fh.write("".join(fmt[k] % tuple(row) for row, k in
-                             zip(values[lo:hi].tolist(), keys[lo:hi])))
+            fh.write("".join([fmt[k] for k in keys[lo:hi]])
+                     % tuple(values[lo:hi].ravel().tolist()))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -196,16 +196,21 @@ def cmd_strata(args) -> int:
     return 0
 
 
-def _layer(model: AllocationModel, args) -> int:
-    """The layer of ``--layer``, or else the extremal layer of ``--branch``."""
-    return (args.layer if args.layer is not None
-            else extremal_signature(model, args.branch).layer)
+def _layer(model: AllocationModel, args) -> int | None:
+    """The layer of ``--layer``, or the extremal layer of ``--branch``; None
+    when neither is given, so the naive allocator can tell (every other
+    allocator then solves on the positive extremal layer n)."""
+    if args.branch is not None:
+        return extremal_signature(model, args.branch).layer
+    return args.layer
 
 
 def cmd_invert(args) -> int:
     model = load_model(args.model)
     w = _parse_vector(args.w)
-    sp, report = section_inverse(model, w, _layer(model, args), args.C)
+    layer = _layer(model, args)
+    sp, report = section_inverse(model, w, model.n if layer is None else layer,
+                                 args.C)
     v = sp.v
     doc = {
         "w": [float(x) for x in w],
@@ -285,8 +290,7 @@ def _layer_args(p) -> None:
     """--layer or --branch, read by :func:`_layer`."""
     group = p.add_mutually_exclusive_group()
     group.add_argument("--layer", type=int, default=None)
-    group.add_argument("--branch", choices=["positive", "negative"],
-                       default="positive")
+    group.add_argument("--branch", choices=["positive", "negative"])
 
 
 def _invert_args(p) -> None:
@@ -319,38 +323,47 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with every subcommand or with ``command``'s alone.
+def _add_command_args(p: argparse.ArgumentParser, name: str) -> None:
+    """The shared --model/--out/--seed options, then ``name``'s own."""
+    p.add_argument("--model", required=True, help="JSON model file")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--seed", type=int, default=0)
+    COMMANDS[name][1](p)
 
-    A one-command parser parses that command's argv as the full one does,
-    and its usage line still lists every command.  Its subcommand metavar
-    would change two of the full parser's errors (a missing and an invalid
-    command), so the full parser keeps argparse's default.
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or ``command``'s parser alone.
+
+    ``command``'s parser is the full parser's subparser for it: it parses the
+    arguments after the command name into the same namespace, less
+    ``command``, and prints the same help and errors.  The full parser serves
+    help, --version, a missing or unknown command, and arguments a command
+    does not know.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"fiberalloc {command}")
+        _add_command_args(parser, command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="fiberalloc",
         description="Fiber geometry and singularity-free allocation for "
                     "signed-quadratic actuation maps.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    for name in COMMANDS if command is None else [command]:
-        help_text, add_arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", required=True, help="JSON model file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        add_arguments(p)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_command_args(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argv[0]'s subcommand alone; help, --version and a missing or unknown
-    # command get the full parser
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:   # as the full parser reports what its subparser left
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _SOLVER_ERRORS as exc:

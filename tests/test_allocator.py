@@ -445,6 +445,17 @@ class TestLiftTrajectory:
         assert np.array_equal(lift_trajectory(m3, t, W, "extremal", 0, 0.2).v,
                               extremal_inverse_batch(m3, W, 0.2, "negative"))
 
+    def test_naive_allocator_takes_no_layer_and_no_C(self, m2):
+        t = np.linspace(0.0, 1.0, 4)
+        W = np.ones((4, 1))
+        for layer, C in ((1, 0.0), (2, 0.0), (0, 0.0), (None, 5.0)):
+            with pytest.raises(ValueError, match="takes no layer and no C"):
+                lift_trajectory(m2, t, W, "naive", layer, C)
+            with pytest.raises(ValueError, match="takes no layer and no C"):
+                smoothness_probe(m2, [1.0], [1.0], C, [1e-3], "naive", layer)
+        assert np.array_equal(lift_trajectory(m2, t, W, "naive", None, 0.0).v,
+                              naive_minimum_norm_inverse(m2, W))
+
     def test_section_through_origin_reports_sample(self, m2):
         t = np.linspace(-1.0, 1.0, 21)  # crosses w = 0 at t = 0
         with pytest.raises(OriginExcludedError) as exc:

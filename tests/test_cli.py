@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -313,6 +314,17 @@ class TestLift:
         assert rc == 1
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--layer", "1"], ["--C", "5"],
+                                       ["--branch", "positive"]])
+    def test_naive_with_a_layer_or_C_is_validation_error(
+            self, model2_file, tmp_path, capsys, flags):
+        rc = main(["lift", "--model", model2_file, "--trajectory",
+                   self.write_trajectory(tmp_path), "--allocator", "naive",
+                   *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "naive allocator takes no layer and no C" in capsys.readouterr().err
+        assert not (tmp_path / "lift_naive.csv").exists()
+
     def test_section_lift_takes_the_branch(self, model2_file, tmp_path):
         traj = self.write_trajectory(tmp_path)
         lifts = {}
@@ -348,6 +360,14 @@ PARSER_EXITS = [
     ["invert"], ["invert", "--model", "m.json", "--w", "1", "--bogus"],
     ["invert", "--model", "m.json", "--w", "1", "stray"],
     ["strata", "--layer", "x"],
+    # errors after the command name, where main's one-command parser runs
+    ["invert", "--version"],
+    ["invert", "--model", "m.json", "--w", "1", "--", "x"],
+    ["invert", "--mod", "m.json", "--w=1", "--bogus"],
+    ["invert", "--model", "m.json", "--w", "1", "--version"],
+    ["lift", "--model", "m", "--trajectory", "t", "--allocator", "bogus"],
+    ["invert", "--", "--model", "m", "--w", "1"],
+    ["strata", "-h", "--bogus"],
 ]
 
 
@@ -392,5 +412,6 @@ class TestParser:
         ["lift", "--model", "m.json", "--trajectory", "t.csv", "--out", "o"],
     ], ids=lambda argv: argv[0])
     def test_one_command_parser_gives_the_full_namespace(self, argv):
-        one = build_parser(argv[0]).parse_args(argv)
+        one = build_parser(argv[0]).parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
         assert vars(one) == vars(build_parser().parse_args(argv))
