@@ -48,18 +48,15 @@ from .model import (
 )
 from .potential import (
     PotentialValue,
-    SectionPoint,
     fiber_segments,
-    layer_section,
     potential,
     potential_along_fiber,
     potential_gradient,
     potential_near_crossing,
     potential_slope,
-    raise_for_status,
     section_intersection,
-    solve_rows,
 )
+from .section import SectionPoint, layer_section, raise_for_status, solve_rows
 from .strata import (
     OrthantSignature,
     StratumDescriptor,

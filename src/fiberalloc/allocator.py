@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfinementError, WrongShapeError
 from .model import AllocationModel, untransform
-from .potential import SectionPoint, layer_point, solve_rows
+from .section import SectionPoint, layer_point, solve_rows
 from .strata import extremal_signature, orthant_masks
 
 #: Relative min|v_i| margin below which a transitional inverse reports hinge proximity.
@@ -66,7 +66,7 @@ def extremal_inverse_batch(model: AllocationModel, W, C: float = 0.0,
                            branch: str = "positive") -> np.ndarray:
     """Extremal inverse for a batch of tasks (one row per task).
 
-    The :func:`fiberalloc.potential.solve_rows` of the layer-n (positive) or
+    The :func:`fiberalloc.section.solve_rows` of the layer-n (positive) or
     layer-0 (negative) leaf C; a row it cannot solve raises
     ExtremalSolveError naming the row index and its task.
     """
@@ -77,7 +77,7 @@ def section_inverse(model: AllocationModel, w, layer: int,
                     C: float = 0.0) -> tuple[SectionPoint, HingeProximity | None]:
     """Right-inverse on the layer-``layer`` global section, leaf C.
 
-    The batch-of-one :func:`fiberalloc.potential.solve_rows`.  Layers n and 0
+    The batch-of-one :func:`fiberalloc.section.solve_rows`.  Layers n and 0
     are the extremal orthants, the only globally smooth choices.  For
     transitional layers the origin is excluded (the central fiber skips them),
     and results with min|v_i| under HINGE_MARGIN * max|v_i| carry a
@@ -124,19 +124,23 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     """Lift a sampled task trajectory through one allocator, per sample.
 
     ``allocator`` is one of 'extremal', 'section', or 'naive'; ``w_samples``
-    holds one task row per time stamp.  'extremal' and 'section' solve on the
-    leaf C of layer ``layer`` (n when None), 'extremal' on layer 0 or n only
-    (ValueError otherwise), and an error names the sample and its time.
-    'naive' takes neither a layer nor a nonzero C (ValueError).  An extremal
-    lift that leaves its orthant raises ConfinementError.
+    holds one task row per time stamp, and ``t`` must be finite and strictly
+    increasing (ValueError naming the first sample that is not).  'extremal'
+    and 'section' solve on the leaf C of layer ``layer`` (n when None),
+    'extremal' on layer 0 or n only (ValueError otherwise), and an error names
+    the sample and its time.  'naive' takes neither a layer nor a nonzero C
+    (ValueError).  An extremal lift that leaves its orthant raises
+    ConfinementError.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))
     if w_samples.shape != (t.shape[0], model.m):
         raise WrongShapeError(f"w_samples has shape {w_samples.shape}, t has "
                               f"shape {t.shape}: expected {(t.shape[0], model.m)}")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("time stamps must be strictly increasing")
+    bad = np.flatnonzero(~(np.isfinite(t) & np.r_[True, t[1:] > t[:-1]]))
+    if bad.size:
+        raise ValueError("time stamps must be finite and strictly increasing: "
+                         f"sample {bad[0]} has t = {t[bad[0]]:g}")
     vs = _allocate(model, w_samples, allocator, layer, C, t=t)
 
     speed = np.zeros(t.shape[0])
@@ -154,7 +158,7 @@ def smoothness_probe(model: AllocationModel, w0, direction, C: float,
                      scales, allocator: str = "extremal",
                      layer: int | None = None) -> list[dict]:
     """Difference quotients |v(w0 + h d) - v(w0)| / h of an allocator along a
-    unit task direction d, one per scale h.
+    unit task direction d, one per finite scale h > 0 (else ValueError).
 
     ``allocator``, ``layer`` and ``C`` are as in :func:`lift_trajectory`, and
     w0 and every w0 + h d are solved in one batch.  For the extremal
@@ -166,6 +170,8 @@ def smoothness_probe(model: AllocationModel, w0, direction, C: float,
     d = np.atleast_1d(np.asarray(direction, dtype=float))
     d = d / np.linalg.norm(d)
     scales = np.asarray(scales, dtype=float)
+    if not np.all((scales > 0) & np.isfinite(scales)):
+        raise ValueError(f"scales must be finite and positive, got {scales}")
     V = _allocate(model, np.vstack([w0, w0 + np.outer(scales, d)]), allocator,
                   layer, C)
     return [{"h": float(h), "quotient": float(np.linalg.norm(v - V[0]) / h)}

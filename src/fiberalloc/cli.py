@@ -32,7 +32,8 @@ from .errors import (
 )
 from .fibers import crossing_parameters, fiber_point
 from .model import AllocationModel, actuation, load_model
-from .potential import SOLVED, layer_section, phi_sum
+from .potential import phi_sum
+from .section import SOLVED, layer_section
 from .strata import (
     classify_orthant,
     enumerate_layer,

@@ -99,7 +99,7 @@ def crossing_parameters(model: AllocationModel, w) -> FiberTrace:
 
     Adjacent crossings merge into one multi-index crossing when their gap is
     within the sum of their noise bounds (:func:`crossings`).  That is the
-    test by which :func:`fiberalloc.potential.layer_section` refuses the layer
+    test by which :func:`fiberalloc.section.layer_section` refuses the layer
     between them, so each segment of the trace lies on a layer the solver
     solves.  The trace is generic when no merge occurs.  The orthant sequence
     starts at -sign(b) and flips the signs of each merged group in turn.

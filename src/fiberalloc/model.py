@@ -110,9 +110,12 @@ def load_model(path) -> AllocationModel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "A" not in doc:
-        raise ValueError(f'{path}: expected a JSON object with an "A" matrix')
-    rows = doc["A"]
+    rows = doc.get("A") if isinstance(doc, dict) else None
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(r, list) and all(isinstance(x, (int, float)) for x in r)
+            for r in rows)):
+        raise ValueError(f'{path}: expected a JSON object with an "A" matrix, '
+                         'a non-empty list of rows of numbers')
     width = {len(r) for r in rows}
     if len(width) != 1:
         raise ValueError(f"{path}: ragged matrix rows (widths {sorted(width)})")

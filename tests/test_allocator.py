@@ -1,5 +1,4 @@
 import math
-from importlib import import_module
 
 import numpy as np
 import pytest
@@ -25,7 +24,9 @@ from fiberalloc import (
     section_inverse,
     smoothness_probe,
 )
-from fiberalloc.potential import OUT_OF_RANGE, SOLVED
+import fiberalloc.allocator as allocator_module
+from fiberalloc import section
+from fiberalloc.section import OUT_OF_RANGE, SOLVED
 from conftest import assert_on_leaf, log_potential, model_with_b, random_model
 
 SQRT2 = math.sqrt(2.0)
@@ -130,7 +131,7 @@ class TestExtremalLogOffsetSolve:
 
     def test_non_finite_task_names_the_row(self, m3):
         # the row sits in the second chunk of the batch solve
-        k = import_module("fiberalloc.potential").SOLVE_CHUNK_ROWS + 7
+        k = section.SOLVE_CHUNK_ROWS + 7
         W = np.ones((k + 3, 2))
         W[k, 0] = np.nan
         with pytest.raises(ExtremalSolveError) as exc:
@@ -138,8 +139,7 @@ class TestExtremalLogOffsetSolve:
         assert exc.value.row == k
 
     def test_iteration_cap_names_the_row(self, m3, monkeypatch):
-        monkeypatch.setattr(import_module("fiberalloc.potential"),
-                            "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(section, "NEWTON_MAX_ITER", 1)
         W = np.array([[0.0, 0.0], [3.0, -1.0]])
         with pytest.raises(ExtremalSolveError, match="Newton") as exc:
             extremal_inverse_batch(m3, W, 0.5)
@@ -214,8 +214,7 @@ class TestSectionInverse:
         layer = classify_orthant(m3bal, sig).layer
         w = actuation(m3bal, v_near)
         C = potential(m3bal, v_near).value
-        monkeypatch.setattr(import_module("fiberalloc.allocator"),
-                            "HINGE_MARGIN", 1e-3)
+        monkeypatch.setattr(allocator_module, "HINGE_MARGIN", 1e-3)
         sp, report = section_inverse(m3bal, w, layer, C)
         assert report is not None
         assert set(report.index_pair) == {0, 2}
@@ -297,8 +296,7 @@ class TestBoundedSectionSolve:
         assert not isinstance(exc.value, ExtremalSolveError)
 
     def test_iteration_cap_names_the_row(self, m3, monkeypatch):
-        monkeypatch.setattr(import_module("fiberalloc.potential"),
-                            "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(section, "NEWTON_MAX_ITER", 1)
         with pytest.raises(SectionSolveError, match="Newton") as exc:
             section_inverse(m3, [3.0, -1.0], 2, 7.0)
         assert exc.value.row == 0
@@ -402,13 +400,21 @@ class TestLiftTrajectory:
         with pytest.raises(WrongShapeError):
             lift_trajectory(m3, t[:4], W, "naive")
 
+    @pytest.mark.parametrize("t, k", [
+        ([0.0, 0.5, np.nan, 1.0], 2), ([np.nan], 0), ([0.0, np.inf], 1),
+        ([0.0, 0.5, 0.5, 1.0], 2), ([0.0, 1.0, 0.5, np.nan], 2)])
+    def test_bad_time_stamp_names_the_sample(self, m2, t, k):
+        W = np.ones((len(t), 1))
+        for allocator in ("extremal", "naive"):
+            with pytest.raises(ValueError, match=f"sample {k} has t"):
+                lift_trajectory(m2, t, W, allocator)
+
     def test_confinement_violation_is_typed(self, m2, monkeypatch):
         def flipping(model, W, layer, C, t=None):
             V = np.tile(model.c, (len(W), 1))
             V[3:] *= -1.0
             return V, np.zeros(len(W))
-        monkeypatch.setattr(import_module("fiberalloc.allocator"),
-                            "solve_rows", flipping)
+        monkeypatch.setattr(allocator_module, "solve_rows", flipping)
         t = np.linspace(0.0, 1.0, 6)
         with pytest.raises(ConfinementError, match="sample 3") as exc:
             lift_trajectory(m2, t, t[:, None], "extremal")
@@ -485,6 +491,12 @@ class TestSmoothnessProbe:
             assert [r["quotient"] for r in rows] == [
                 np.linalg.norm(extremal_inverse(m3, w0 + h * d, 0.3, branch)
                                - v0) / h for h in scales]
+
+    @pytest.mark.parametrize("scales", [[1e-3, 0.0], [-1e-3], [np.nan],
+                                        [np.inf, 1e-3]])
+    def test_scales_must_be_finite_and_positive(self, m2, scales):
+        with pytest.raises(ValueError, match="finite and positive"):
+            smoothness_probe(m2, [1.0], [1.0], 0.0, scales)
 
     def test_both_finite_away_from_crossings(self, m2):
         for allocator in ("extremal", "naive"):

@@ -73,6 +73,12 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 3
 
+    def test_not_a_matrix(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"A": [1, 2]}))
+        assert main(["validate", "--model", str(bad)]) == 1
+        assert "bad.json" in capsys.readouterr().err
+
 
 class TestFibers:
     def test_outputs_and_self_check(self, model2_file, tmp_path, capsys):
@@ -338,6 +344,16 @@ class TestLift:
             lifts[allocator, branch] = (out / f"lift_{allocator}.csv").read_bytes()
         assert lifts["section", "negative"] == lifts["extremal", "negative"]
         assert lifts["section", "negative"] != lifts["section", "positive"]
+
+    def test_non_finite_time_is_validation_error(self, model2_file, tmp_path,
+                                                 capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("t,w_1\n0.0,1.0\nnan,0.5\n1.0,0.0\n")
+        rc = main(["lift", "--model", model2_file, "--trajectory", str(traj),
+                   "--out", str(tmp_path / "lift")])
+        assert rc == 1
+        assert "sample 1 has t = nan" in capsys.readouterr().err
+        assert not (tmp_path / "lift").exists()
 
     def test_confinement_violation_is_solver_error(self, model2_file, tmp_path,
                                                    capsys, monkeypatch):

@@ -128,6 +128,16 @@ class TestLoader:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("doc", [
+        [[1.0, 1.0]], {"B": [[1.0, 1.0]]}, {"A": 5}, {"A": [1, 2]},
+        {"A": []}, {"A": [[1.0, 1.0], 2.0]}, {"A": "[[1, 1]]"},
+        {"A": [[1.0, {}]]}, {"A": [[1.0, "x"]]}])
+    def test_load_not_a_matrix(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"model\.json: .*non-empty list"):
+            load_model(path)
+
     def test_load_ragged(self, tmp_path):
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps({"A": [[1.0, 1.0, 0.0], [1.0, 1.0]]}))

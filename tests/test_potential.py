@@ -23,7 +23,7 @@ from fiberalloc import (
     potential_slope,
     section_intersection,
 )
-from fiberalloc.potential import REFUSED
+from fiberalloc.section import REFUSED
 from conftest import assert_on_leaf, log_potential, random_model
 
 SQRT2 = math.sqrt(2.0)
@@ -269,7 +269,7 @@ class TestSectionIntersection:
             tr = crossing_parameters(m, w)
             for seg, branch in ((0, "negative"),
                                 (len(tr.distinct_crossings), "positive")):
-                sp = section_intersection(m, w, seg, C, trace=tr)
+                sp = section_intersection(m, w, seg, C)
                 assert np.array_equal(sp.v, extremal_inverse(m, w, C, branch))
                 assert sp.layer == (m.n if branch == "positive" else 0)
 
@@ -279,7 +279,7 @@ class TestSectionIntersection:
         w = m3.A @ (m3.b * (0.5 - np.array([0.0, 0.0, 1.0])))
         tr = crossing_parameters(m3, w)
         assert [len(idx) for _, idx in tr.distinct_crossings] == [2, 1]
-        sp = section_intersection(m3, w, 1, 0.3, trace=tr)
+        sp = section_intersection(m3, w, 1, 0.3)
         assert sp.layer == 2
         assert tr.distinct_crossings[0][0] < sp.lam < tr.distinct_crossings[1][0]
         assert_on_leaf(m3, sp.v, w, 0.3)
@@ -304,7 +304,7 @@ class TestSectionIntersection:
             _, _, status = layer_section(m, w[None, :], layer, C)
             assert (status[0] == REFUSED) == (layer not in segment_layers)
         for k, layer in enumerate(segment_layers):
-            assert section_intersection(m, w, k, C, trace=tr).layer == layer
+            assert section_intersection(m, w, k, C).layer == layer
 
     def test_reproducible_to_1e10(self, m2):
         a = section_intersection(m2, [1.7], 1, 0.4).lam
