@@ -112,7 +112,9 @@ def load_model(path) -> AllocationModel:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     rows = doc.get("A") if isinstance(doc, dict) else None
     if not (isinstance(rows, list) and rows and all(
-            isinstance(r, list) and all(isinstance(x, (int, float)) for x in r)
+            isinstance(r, list) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in r)
             for r in rows)):
         raise ValueError(f'{path}: expected a JSON object with an "A" matrix, '
                          'a non-empty list of rows of numbers')

@@ -2,14 +2,21 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
 from importlib import import_module
 
 import numpy as np
 import pytest
 
 from fiberalloc import build_model, classify_orthant
+from fiberalloc.strata import orthant_masks
 from fiberalloc.cli import COMMANDS, build_parser, main
 from conftest import assert_on_leaf
+
+cli = import_module("fiberalloc.cli")
 
 
 @pytest.fixture()
@@ -258,19 +265,21 @@ class TestInvert:
         assert "solver error" in capsys.readouterr().err
 
 
-class TestLift:
-    def write_trajectory(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        t = np.linspace(0.0, 2 * np.pi, 501)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "w_1"])
-            for tk in t:
-                writer.writerow([f"{tk:.17g}", f"{np.sin(tk):.17g}"])
-        return str(path)
+def write_trajectory(tmp_path):
+    """A 501-sample trajectory of the one-task model: w_1 = sin t."""
+    path = tmp_path / "traj.csv"
+    t = np.linspace(0.0, 2 * np.pi, 501)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "w_1"])
+        for tk in t:
+            writer.writerow([f"{tk:.17g}", f"{np.sin(tk):.17g}"])
+    return str(path)
 
+
+class TestLift:
     def test_extremal_summary(self, model2_file, tmp_path, capsys):
-        traj = self.write_trajectory(tmp_path)
+        traj = write_trajectory(tmp_path)
         out = tmp_path / "lift"
         rc = main(["lift", "--model", model2_file, "--trajectory", traj,
                    "--allocator", "extremal", "--out", str(out)])
@@ -284,7 +293,7 @@ class TestLift:
         assert len(rows) == 501
 
     def test_naive_flips(self, model2_file, tmp_path):
-        traj = self.write_trajectory(tmp_path)
+        traj = write_trajectory(tmp_path)
         out = tmp_path / "lift"
         rc = main(["lift", "--model", model2_file, "--trajectory", traj,
                    "--allocator", "naive", "--out", str(out)])
@@ -295,7 +304,7 @@ class TestLift:
     def test_csv_format(self, model2_file, tmp_path):
         # a comment line, then csv.writer rows: \r\n endings, %.17g floats
         # and the signature quoted
-        traj = self.write_trajectory(tmp_path)
+        traj = write_trajectory(tmp_path)
         out = tmp_path / "lift"
         for allocator in ("extremal", "naive"):
             assert main(["lift", "--model", model2_file, "--trajectory", traj,
@@ -315,7 +324,7 @@ class TestLift:
     def test_extremal_on_a_transitional_layer_is_validation_error(
             self, model2_file, tmp_path, capsys):
         rc = main(["lift", "--model", model2_file, "--trajectory",
-                   self.write_trajectory(tmp_path), "--allocator", "extremal",
+                   write_trajectory(tmp_path), "--allocator", "extremal",
                    "--layer", "1", "--out", str(tmp_path)])
         assert rc == 1
         assert "validation error" in capsys.readouterr().err
@@ -325,14 +334,14 @@ class TestLift:
     def test_naive_with_a_layer_or_C_is_validation_error(
             self, model2_file, tmp_path, capsys, flags):
         rc = main(["lift", "--model", model2_file, "--trajectory",
-                   self.write_trajectory(tmp_path), "--allocator", "naive",
+                   write_trajectory(tmp_path), "--allocator", "naive",
                    *flags, "--out", str(tmp_path)])
         assert rc == 1
         assert "naive allocator takes no layer and no C" in capsys.readouterr().err
         assert not (tmp_path / "lift_naive.csv").exists()
 
     def test_section_lift_takes_the_branch(self, model2_file, tmp_path):
-        traj = self.write_trajectory(tmp_path)
+        traj = write_trajectory(tmp_path)
         lifts = {}
         for allocator, branch in (("section", "negative"),
                                   ("extremal", "negative"),
@@ -355,6 +364,19 @@ class TestLift:
         assert "sample 1 has t = nan" in capsys.readouterr().err
         assert not (tmp_path / "lift").exists()
 
+    def test_trajectory_without_samples_is_validation_error(
+            self, model2_file, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("t,w_1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # and numpy warns of no data
+            rc = main(["lift", "--model", model2_file, "--trajectory",
+                       str(traj), "--out", str(tmp_path / "lift")])
+        assert rc == 1
+        assert "traj.csv: the trajectory file has no samples" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "lift").exists()
+
     def test_confinement_violation_is_solver_error(self, model2_file, tmp_path,
                                                    capsys, monkeypatch):
         def flipping(model, W, layer, C, t=None):
@@ -364,9 +386,104 @@ class TestLift:
         monkeypatch.setattr(import_module("fiberalloc.allocator"),
                             "solve_rows", flipping)
         rc = main(["lift", "--model", model2_file, "--trajectory",
-                   self.write_trajectory(tmp_path), "--out", str(tmp_path)])
+                   write_trajectory(tmp_path), "--out", str(tmp_path)])
         assert rc == 2
         assert "sample 10" in capsys.readouterr().err
+
+
+class TestCsvHelper:
+    """From HELPER_ROWS rows on, with more than one CPU, the second half of a
+    CSV is formatted by a helper process; the bytes are those written in
+    process."""
+
+    @pytest.fixture()
+    def helpers(self, monkeypatch):
+        """The helpers started, with HELPER_ROWS at 100, chunks of 64 rows
+        and two CPUs."""
+        started, start = [], cli._start_helper
+
+        def spy(*args):
+            started.append(start(*args))
+            return started[-1]
+        monkeypatch.setattr(cli, "_start_helper", spy)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        return started
+
+    def lift(self, model_file, tmp_path, name, *flags):
+        out = tmp_path / name
+        assert main(["lift", "--model", model_file, "--trajectory",
+                     write_trajectory(tmp_path), "--out", str(out),
+                     *flags]) == 0
+        return out
+
+    @pytest.mark.parametrize("allocator", ["extremal", "section", "naive"])
+    def test_lift(self, model2_file, tmp_path, monkeypatch, helpers,
+                  allocator):
+        # 501 rows: the halves are 250 and 251 rows, neither whole chunks
+        flags = ["--allocator", allocator]
+        ref = self.lift(model2_file, tmp_path, "ref", *flags)
+        assert helpers == []
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        out = self.lift(model2_file, tmp_path, "out", *flags)
+        assert [h.returncode for h in helpers] == [0]
+        for name in (f"lift_{allocator}.csv", f"lift_{allocator}.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    @pytest.mark.parametrize("with_masks", [False, True])
+    def test_special_values(self, tmp_path, monkeypatch, helpers, with_masks):
+        model = build_model([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
+        values = np.random.default_rng(2).choice(special, size=(301, 4))
+        kwargs = dict(model=model, masks=orthant_masks(values[:, :3]), at=2) \
+            if with_masks else {}
+        header = ["a", "b", "c", "d"] + (["orthant"] if with_masks else [])
+        cli._write_csv(tmp_path / "ref.csv", header, values, 9, **kwargs)
+        assert helpers == []
+        assert_csv_writer_bytes(tmp_path / "ref.csv",
+                                text_col=2 if with_masks else None)
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        cli._write_csv(tmp_path / "out.csv", header, values, 9, **kwargs)
+        assert [h.returncode for h in helpers] == [0]
+        assert (tmp_path / "out.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_one_cpu_starts_no_helper(self, model2_file, tmp_path,
+                                      monkeypatch):
+        def no_helper(*args, **kwargs):
+            raise AssertionError("a helper process was started")
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(subprocess, "Popen", no_helper)
+        out = self.lift(model2_file, tmp_path, "out")
+        assert len(read_csv(out / "lift_extremal.csv")[2]) == 501
+
+    def test_failed_helper_is_io_error(self, model2_file, tmp_path,
+                                       monkeypatch, capsys, helpers):
+        script = tmp_path / "fails"
+        script.write_text("#!/bin/sh\nexit 1\n")
+        script.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(script))
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        rc = main(["lift", "--model", model2_file, "--trajectory",
+                   write_trajectory(tmp_path), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "the CSV row helper exited with code 1" in err
+
+    def test_helper_that_cannot_start_leaves_the_rows_in_process(
+            self, model2_file, tmp_path, monkeypatch, helpers):
+        ref = self.lift(model2_file, tmp_path, "ref")
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "missing"))
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        out = self.lift(model2_file, tmp_path, "out")
+        assert helpers == [None]
+        assert (out / "lift_extremal.csv").read_bytes() == \
+            (ref / "lift_extremal.csv").read_bytes()
 
 
 #: argv that exit inside argparse, with help, a version or a usage error

@@ -131,7 +131,7 @@ class TestLoader:
     @pytest.mark.parametrize("doc", [
         [[1.0, 1.0]], {"B": [[1.0, 1.0]]}, {"A": 5}, {"A": [1, 2]},
         {"A": []}, {"A": [[1.0, 1.0], 2.0]}, {"A": "[[1, 1]]"},
-        {"A": [[1.0, {}]]}, {"A": [[1.0, "x"]]}])
+        {"A": [[1.0, {}]]}, {"A": [[1.0, "x"]]}, {"A": [[True, 2.0]]}])
     def test_load_not_a_matrix(self, tmp_path, doc):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
