@@ -1,7 +1,9 @@
 """Command-line front end: validate | fibers | foliation | strata | invert | lift.
 
-Every subcommand takes --model (JSON file with the allocation matrix), --out
-(output directory), and --seed (recorded in every output header).  CSV output
+Every subcommand takes --model (JSON file with the allocation matrix).
+fibers, foliation, strata and lift write files and take --out (output
+directory); fibers, foliation and lift also take --seed, recorded in every
+output header (foliation draws its task directions from it).  CSV output
 uses a header row and 17 significant digits so doubles round-trip losslessly.
 A large CSV, such as the lift of a long trajectory, has its second half
 formatted by a standard-library-only helper process when more than one CPU is
@@ -37,19 +39,18 @@ from .errors import (
     SectionSolveError,
     WrongShapeError,
 )
-from .fibers import crossing_parameters, fiber_point
-from .model import AllocationModel, actuation, load_model
+from .fibers import _on_fiber, crossings
+from .model import (AllocationModel, actuation, load_model, transform,
+                    untransform)
 from .potential import phi_sum
 from .section import SOLVED, layer_section
 from .strata import (
     classify_orthant,
-    enumerate_layer,
     extremal_signature,
     graph_to_dot,
     graph_to_json,
     layer_adjacency_graph,
     orthant_masks,
-    reciprocal_hinges,
 )
 
 SELF_CHECK_TOL = 1e-8
@@ -169,7 +170,11 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.replace(";", ",").split(",") if tok])
+    """A vector written "1,2" or "1;2"; an empty entry is a ValueError."""
+    tokens = text.replace(";", ",").split(",")
+    if "" in tokens:
+        raise ValueError(f"empty entry in the vector {text!r}")
+    return np.array([float(tok) for tok in tokens])
 
 
 def cmd_validate(args) -> int:
@@ -192,21 +197,19 @@ def cmd_fibers(args) -> int:
     norm_A = np.linalg.norm(model.A, 2)
 
     def table(w) -> np.ndarray:
-        trace = crossing_parameters(model, w)
-        lams = sorted(set(lam_grid.tolist()))
-        marks = {lam for lam, _ in trace.crossings
-                 if args.lam_min <= lam <= args.lam_max}
-        all_lams = sorted(set(lams) | marks)
-        rows = []
-        for lam in all_lams:
-            p = fiber_point(model, w, lam)
-            werr = np.max(np.abs(actuation(model, p.v) - w))
-            # the residual scale of the map, ||A||_2 ||v||^2
-            if werr > SELF_CHECK_TOL * norm_A * (p.v @ p.v):
-                raise AssertionError(f"self-check failed: |f(v) - w| = {werr:g}")
-            # is_crossing 0.0 or 1.0 is written "0" or "1"
-            rows.append([lam, *p.v, float(lam in marks)])
-        return np.array(rows, dtype=float).reshape(-1, model.n + 2)
+        (marks,), _ = crossings(model, w[None, :])
+        marks = marks[(args.lam_min <= marks) & (marks <= args.lam_max)]
+        # sorted, each value once as it first occurs: a grid 0.0 before a
+        # crossing's -0.0
+        lams = np.concatenate([lam_grid, marks])
+        lams = lams[np.unique(lams, return_index=True)[1]]
+        V = untransform(_on_fiber(model, w, lams[:, None])[0])
+        werr = np.max(np.abs(transform(V) @ model.A.T - w), axis=1)
+        # the residual scale of the map, ||A||_2 ||v||^2
+        if np.any(werr > SELF_CHECK_TOL * norm_A * np.sum(V * V, axis=1)):
+            raise AssertionError(f"self-check failed: |f(v) - w| = {werr.max():g}")
+        # is_crossing 0.0 or 1.0 is written "0" or "1"
+        return np.column_stack([lams, V, np.isin(lams, marks)])
 
     header = ["lambda"] + [f"v_{i+1}" for i in range(model.n)] + ["is_crossing"]
     for k, w in enumerate(tasks):
@@ -263,10 +266,9 @@ def cmd_strata(args) -> int:
     graph = layer_adjacency_graph(model, args.layer)
     (out / f"layer_{args.layer}.json").write_text(graph_to_json(graph))
     (out / f"layer_{args.layer}.dot").write_text(graph_to_dot(graph))
-    sigs = enumerate_layer(model, args.layer)
-    hinges = reciprocal_hinges(model, args.layer)
-    print(f"layer {args.layer}: {len(sigs)} orthants, {len(hinges)} reciprocal "
-          f"hinges, connected={graph['connected']}")
+    print(f"layer {args.layer}: {len(graph['nodes'])} orthants, "
+          f"{len(graph['edges'])} reciprocal hinges, "
+          f"connected={graph['connected']}")
     return 0
 
 
@@ -404,10 +406,12 @@ COMMANDS = {
 
 
 def _add_command_args(p: argparse.ArgumentParser, name: str) -> None:
-    """The shared --model/--out/--seed options, then ``name``'s own."""
+    """--model, --out and --seed where ``name`` reads them, then its own."""
     p.add_argument("--model", required=True, help="JSON model file")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    if name in ("fibers", "foliation", "strata", "lift"):
+        p.add_argument("--out", default=".", help="output directory")
+    if name in ("fibers", "foliation", "lift"):
+        p.add_argument("--seed", type=int, default=0)
     COMMANDS[name][1](p)
 
 

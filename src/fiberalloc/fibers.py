@@ -65,10 +65,11 @@ def crossings(model: AllocationModel, W) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _on_fiber(model: AllocationModel, w: np.ndarray,
-              lam: float) -> tuple[np.ndarray, np.ndarray]:
+              lam) -> tuple[np.ndarray, np.ndarray]:
     """gamma(w, lambda) in transformed coordinates, u = b o (lambda - lambda*),
     and the mask of its components on their hyperplane: those whose crossing
-    lies within its noise bound of lambda, where u_i is 0."""
+    lies within its noise bound of lambda, where u_i is 0.  A column of k
+    lambdas gives k rows, each bit-identical to its lambda's own call."""
     (lam_star,), (noise,) = crossings(model, w[None, :])
     on = np.abs(lam - lam_star) <= noise
     return np.where(on, 0.0, model.b * (lam - lam_star)), on

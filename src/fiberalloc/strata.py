@@ -150,11 +150,10 @@ def reciprocal_hinges(model: AllocationModel, l: int) -> list[StratumDescriptor]
     """All reciprocal hinges of layer l.
 
     Each hinge joins two same-layer signatures differing in exactly one entry
-    index (dropped) and one exit index (acquired).
+    index (dropped) and one exit index (acquired).  The extremal layers 0 and
+    n, one orthant each, have none.
     """
     n = model.n
-    if not 1 <= l <= n - 1:
-        raise ValueError(f"reciprocal hinges exist only for 1 <= l <= {n - 1}")
     hinges = []
     for sig in enumerate_layer(model, l):
         for i in sorted(sig.entry_set):

@@ -11,7 +11,8 @@ from importlib import import_module
 import numpy as np
 import pytest
 
-from fiberalloc import build_model, classify_orthant
+from fiberalloc import (build_model, classify_orthant, crossing_parameters,
+                        fiber_point)
 from fiberalloc.strata import orthant_masks
 from fiberalloc.cli import COMMANDS, build_parser, main
 from conftest import assert_on_leaf
@@ -124,6 +125,39 @@ class TestFibers:
             assert comment == "# fiberalloc 0.1.0 seed=4\n"
             assert {r[-1] for r in rows} == {"0", "1"}
 
+    def test_window_leaves_a_crossing_out(self, model_file, tmp_path):
+        # the fiber of w = (2, 1) crosses at -2.86, -0.41 and 0.82; the
+        # window [-0.5, 0.3] holds only the second.  Each row is the point
+        # fiber_point gives at its lambda, bit for bit.
+        model = build_model([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model_file, "--out", str(out),
+                     "--w=2,1", "--lam-min=-0.5", "--lam-max=0.3",
+                     "--samples", "401"]) == 0
+        _, _, rows = read_csv(out / "fiber_0.csv")
+        table = np.array(rows, dtype=float)
+        lams = [lam for lam, _ in crossing_parameters(model, [2.0, 1.0]).crossings]
+        assert table[table[:, -1] == 1, 0].tolist() == [lams[1]]
+        grid = np.linspace(-0.5, 0.3, 401)
+        assert table[:, 0].tolist() == sorted([*grid, lams[1]])
+        for row in table:
+            np.testing.assert_array_equal(
+                row[1:4], fiber_point(model, [2.0, 1.0], row[0]).v)
+
+    @pytest.mark.parametrize("samples, zero", [("400", "-0"), ("401", "0")])
+    def test_central_fiber_crosses_once_at_zero(self, model_file, tmp_path,
+                                                samples, zero):
+        # the central fiber's crossings are -0.0, -0.0 and 0.0 (the sign of
+        # -0.0 / b_i).  They make one row, marked; a grid of 401 points holds
+        # 0.0 and gives its lambda, one of 400 does not and the first
+        # crossing gives it.
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model_file, "--out", str(out),
+                     "--w=2,1", "--samples", samples]) == 0
+        _, _, rows = read_csv(out / "central_fiber.csv")
+        assert len(rows) == 401
+        assert [r for r in rows if r[-1] == "1"] == [[zero, "0", "0", "0", "1"]]
+
 
 class TestFoliation:
     def test_level_sets(self, model_file, tmp_path):
@@ -201,6 +235,14 @@ class TestFoliation:
         assert "validation error: sigma must be a +/-1 vector of length 3" in \
             capsys.readouterr().err
 
+    def test_empty_magnitude_is_validation_error(self, model_file, tmp_path,
+                                                 capsys):
+        rc = main(["foliation", "--model", model_file, "--out", str(tmp_path),
+                   "--layer", "3", "--C", "0", "--magnitudes=0.25,,4"])
+        assert rc == 1
+        assert "validation error: empty entry in the vector '0.25,,4'" in \
+            capsys.readouterr().err
+
 
 class TestStrata:
     def test_layer_graph(self, model_file, tmp_path, capsys):
@@ -213,6 +255,17 @@ class TestStrata:
         dot = (out / "layer_1.dot").read_text()
         assert dot.startswith("graph")
         assert "3 orthants" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("layer", ["0", "3"])
+    def test_extremal_layer_is_one_orthant(self, model_file, tmp_path, capsys,
+                                           layer):
+        out = tmp_path / "strata"
+        assert main(["strata", "--model", model_file, "--out", str(out),
+                     "--layer", layer]) == 0
+        doc = json.loads((out / f"layer_{layer}.json").read_text())
+        assert len(doc["nodes"]) == 1
+        assert doc["edges"] == [] and doc["connected"]
+        assert "1 orthants, 0 reciprocal hinges" in capsys.readouterr().out
 
 
 class TestInvert:
@@ -241,7 +294,7 @@ class TestInvert:
         assert "section solve failed at row 0" in err and reason in err
         assert "the state has" not in err
 
-    @pytest.mark.parametrize("w", ["--w=1", "--w=1,2,3"])
+    @pytest.mark.parametrize("w", ["--w=1", "--w=1,2,3", "--w=1,,2"])
     def test_wrong_task_length_is_validation_error(self, model_file, capsys, w):
         rc = main(["invert", "--model", model_file, w])
         assert rc == 1
@@ -501,6 +554,12 @@ PARSER_EXITS = [
     ["lift", "--model", "m", "--trajectory", "t", "--allocator", "bogus"],
     ["invert", "--", "--model", "m", "--w", "1"],
     ["strata", "-h", "--bogus"],
+    # --out and --seed only where the command writes or draws from them
+    ["validate", "--model", "m.json", "--out", "o"],
+    ["validate", "--model", "m.json", "--seed", "1"],
+    ["invert", "--model", "m.json", "--w", "1", "--out", "o"],
+    ["invert", "--model", "m.json", "--w", "1", "--seed", "1"],
+    ["strata", "--model", "m.json", "--layer", "1", "--seed", "3"],
 ]
 
 
@@ -540,7 +599,7 @@ class TestParser:
         ["validate", "--model", "m.json"],
         ["fibers", "--model", "m.json", "--w", "1", "--w=-2", "--samples", "9"],
         ["foliation", "--model", "m.json", "--orthant", "+,-,+", "--C", "1"],
-        ["strata", "--model", "m.json", "--layer", "2", "--seed", "3"],
+        ["strata", "--model", "m.json", "--layer", "2", "--out", "o"],
         ["invert", "--model", "m.json", "--w", "1,2", "--branch", "negative"],
         ["lift", "--model", "m.json", "--trajectory", "t.csv", "--out", "o"],
     ], ids=lambda argv: argv[0])

@@ -139,6 +139,9 @@ class TestReciprocalHinges:
         want = {frozenset((sa, sb)) for sa, sb in oracle}
         assert got == want
 
+    def test_extremal_layers_have_none(self, m3):
+        assert reciprocal_hinges(m3, 0) == reciprocal_hinges(m3, 3) == []
+
     def test_hinge_indices_pair_entry_with_exit(self, m3):
         for h in reciprocal_hinges(m3, 1):
             a, b = h.orthants
