@@ -9,7 +9,10 @@ A large CSV, such as the lift of a long trajectory, has its second half
 formatted by a standard-library-only helper process when more than one CPU is
 available; the bytes written are the same either way.
 
-Exit codes: 0 success, 1 validation error, 2 solver error, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 solver error, 3 I/O error.  A
+ValueError, WrongShapeError, RankDeficientError or DegenerateRedundancyError
+is a validation error; any other FiberAllocError, a failed self-check
+included, is a solver error.
 """
 from __future__ import annotations
 
@@ -28,17 +31,8 @@ import numpy as np
 from . import __version__
 from ._csvrows import format_rows
 from .allocator import lift_trajectory, section_inverse
-from .errors import (
-    BoundaryStateError,
-    ConfinementError,
-    CrossingStateError,
-    DegenerateRedundancyError,
-    NonGenericSegmentError,
-    OriginExcludedError,
-    RankDeficientError,
-    SectionSolveError,
-    WrongShapeError,
-)
+from .errors import (DegenerateRedundancyError, FiberAllocError,
+                     RankDeficientError, WrongShapeError)
 from .fibers import _on_fiber, crossings
 from .model import (AllocationModel, actuation, load_model, transform,
                     untransform)
@@ -51,6 +45,7 @@ from .strata import (
     graph_to_json,
     layer_adjacency_graph,
     orthant_masks,
+    signature_from_mask,
 )
 
 SELF_CHECK_TOL = 1e-8
@@ -64,9 +59,6 @@ _HELPER = Path(__file__).with_name("_csvrows.py")
 
 _VALIDATION_ERRORS = (WrongShapeError, RankDeficientError,
                       DegenerateRedundancyError, ValueError)
-_SOLVER_ERRORS = (NonGenericSegmentError, OriginExcludedError,
-                  CrossingStateError, BoundaryStateError, SectionSolveError,
-                  ConfinementError)
 
 
 @contextmanager
@@ -141,8 +133,7 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
     else:
         keys, formats = masks.tolist(), {}
         for k in set(keys):
-            text = classify_orthant(model, [1 if k >> i & 1 else -1
-                                            for i in range(model.n)])
+            text = signature_from_mask(model, k)
             formats[k] = (",".join(cols[:at] + [f'"{text}"'] + cols[at:])
                           + "\r\n")
     with _csv_file(path, header, seed) as fh:
@@ -193,10 +184,17 @@ def cmd_fibers(args) -> int:
     model = load_model(args.model)
     out = Path(args.out)
     tasks = [_parse_vector(tok) for tok in args.w]
+    if not -np.inf < args.lam_min <= args.lam_max < np.inf:
+        raise ValueError(f"--lam-min={args.lam_min:g} and --lam-max="
+                         f"{args.lam_max:g} must be finite, with --lam-min <= "
+                         "--lam-max")
     lam_grid = np.linspace(args.lam_min, args.lam_max, args.samples)
     norm_A = np.linalg.norm(model.A, 2)
 
     def table(w) -> np.ndarray:
+        if not np.all(np.isfinite(w)):
+            raise FiberAllocError(f"no fiber for w = {w}: the task is not finite")
+        # WrongShapeError for a task of the wrong length
         (marks,), _ = crossings(model, w[None, :])
         marks = marks[(args.lam_min <= marks) & (marks <= args.lam_max)]
         # sorted, each value once as it first occurs: a grid 0.0 before a
@@ -206,16 +204,17 @@ def cmd_fibers(args) -> int:
         V = untransform(_on_fiber(model, w, lams[:, None])[0])
         werr = np.max(np.abs(transform(V) @ model.A.T - w), axis=1)
         # the residual scale of the map, ||A||_2 ||v||^2
-        if np.any(werr > SELF_CHECK_TOL * norm_A * np.sum(V * V, axis=1)):
-            raise AssertionError(f"self-check failed: |f(v) - w| = {werr.max():g}")
+        if not np.all(werr <= SELF_CHECK_TOL * norm_A * np.sum(V * V, axis=1)):
+            raise FiberAllocError(f"self-check failed: |f(v) - w| = {werr.max():g}")
         # is_crossing 0.0 or 1.0 is written "0" or "1"
         return np.column_stack([lams, V, np.isin(lams, marks)])
 
     header = ["lambda"] + [f"v_{i+1}" for i in range(model.n)] + ["is_crossing"]
-    for k, w in enumerate(tasks):
-        _write_csv(out / f"fiber_{k}.csv", header, table(w), args.seed)
-    _write_csv(out / "central_fiber.csv", header, table(np.zeros(model.m)),
-               args.seed)
+    # every table is checked before a file is written
+    tables = [table(w) for w in tasks + [np.zeros(model.m)]]
+    names = [f"fiber_{k}.csv" for k in range(len(tasks))] + ["central_fiber.csv"]
+    for name, values in zip(names, tables):
+        _write_csv(out / name, header, values, args.seed)
     print(f"wrote {len(tasks)} fiber polylines + central fiber to {out}")
     return 0
 
@@ -226,14 +225,14 @@ def cmd_foliation(args) -> int:
     rng = np.random.default_rng(args.seed)
     mags = _parse_vector(args.magnitudes)
     if args.orthant:
-        sigma = np.array([{"+": 1, "-": -1}.get(s, 0)
-                          for s in args.orthant.strip("()").split(",")])
         # a signature of the wrong length or with a sign other than +/- is a
         # ValueError of classify_orthant
-        layer = classify_orthant(model, sigma).layer
+        orthant = classify_orthant(model, [
+            {"+": 1, "-": -1}.get(s, 0)
+            for s in args.orthant.strip("()").split(",")])
+        layer = orthant.layer
     else:
-        sigma = None
-        layer = args.layer
+        orthant, layer = None, args.layer
 
     dirs = rng.normal(size=(args.grid, model.m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -244,17 +243,18 @@ def cmd_foliation(args) -> int:
         [f"w_{j+1}" for j in range(model.m)]
     for C in args.C:
         V, _, status = layer_section(model, W, layer, C)
+        masks = orthant_masks(V)
         keep = status == SOLVED   # a row the solver refuses or fails is left out
-        if sigma is not None:
-            keep &= np.all((V > 0) == (sigma > 0), axis=1)
+        if orthant is not None:
+            keep &= masks == orthant.mask
         V_ok, W_ok = V[keep], W[keep]
         err = np.abs(phi_sum(model.b, np.sign(V_ok), np.log(np.abs(V_ok))) - C)
-        if np.any(err > SELF_CHECK_TOL):
-            raise AssertionError(
+        if not np.all(err <= SELF_CHECK_TOL):
+            raise FiberAllocError(
                 f"self-check failed: |Phi(v) - C| = {err.max():g}")
         values = np.column_stack([V_ok, np.full(len(V_ok), C), W_ok])
         _write_csv(out / f"foliation_C{C:g}.csv", header, values, args.seed,
-                   model, orthant_masks(V_ok), at=model.n + 1)
+                   model, masks[keep], at=model.n + 1)
     print(f"wrote {len(args.C)} level-set point clouds to {out}")
     return 0
 
@@ -450,12 +450,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
     except _VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
+    except FiberAllocError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import WrongShapeError
 from .model import AllocationModel, untransform
 from .strata import OrthantSignature, classify_orthant
 
@@ -57,7 +58,10 @@ def crossings(model: AllocationModel, W) -> tuple[np.ndarray, np.ndarray]:
     """Per task row of W, the crossings lambda*_i = -(A_pinv w)_i / b_i and
     their noise bound CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|, a row's
     bit-identical in every batch.  A component is on its hyperplane within
-    its crossing's bound; two crossings coincide within the sum of theirs."""
+    its crossing's bound; two crossings coincide within the sum of theirs.
+    Raises WrongShapeError unless W has m columns."""
+    if W.ndim != 2 or W.shape[1] != model.m:
+        raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
     lam_star = -_rowwise_matvec(W, model.A_pinv) / model.b
     noise = (CROSSING_RTOL * W.shape[1]
              * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))

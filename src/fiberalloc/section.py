@@ -34,7 +34,6 @@ from .errors import (
     NonGenericSegmentError,
     OriginExcludedError,
     SectionSolveError,
-    WrongShapeError,
     row_label,
 )
 from .fibers import _rowwise_matvec, crossings
@@ -76,15 +75,13 @@ def layer_section(model: AllocationModel, W, layer: int,
     component, or its largest v_i^2 underflows (max|v_i| < sqrt(TINY)), so
     that f(v) = w cannot be checked.
     Raises ValueError for a non-finite C or a layer outside [0, n],
-    WrongShapeError unless W has m columns.
+    WrongShapeError unless W has m columns (see fibers.crossings).
     """
     if not math.isfinite(C):
         raise ValueError("target potential level must be finite")
     if not 0 <= layer <= model.n:
         raise ValueError(f"layer must lie in [0, {model.n}]")
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.ndim != 2 or W.shape[1] != model.m:
-        raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
     # einsum sums a row of a C-ordered batch as it sums the row alone
     W = np.ascontiguousarray(W)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -1,8 +1,10 @@
 """Combinatorial stratification of the 2^n orthants into layers and boundary strata.
 
-Orthant signatures are encoded as n-bit masks with bit i set when
-sigma_i * b_i > 0 (an acquired entry face), so the layer index is a popcount
-and exhaustive enumeration stays cheap up to n ~ 20.
+An orthant has one bitmask, with bit i set when sigma_i > 0: the mask
+:func:`orthant_masks` gives every state in it (bit i set when v_i > 0).  This
+module alone packs and unpacks those bits.  The layer of an orthant is the
+number of its entry faces, the i with sigma_i * b_i > 0, and exhaustive
+enumeration stays cheap up to n ~ 20.
 """
 from __future__ import annotations
 
@@ -35,11 +37,9 @@ class OrthantSignature:
 
     @property
     def mask(self) -> int:
-        """Bitmask with bit i set iff i is an entry index."""
-        m = 0
-        for i in self.entry_set:
-            m |= 1 << i
-        return m
+        """Bitmask with bit i set iff sigma_i > 0, the :func:`orthant_masks`
+        of every state in the orthant."""
+        return sum(1 << i for i, s in enumerate(self.sigma) if s > 0)
 
     def __str__(self):
         return "(" + ",".join("+" if s > 0 else "-" for s in self.sigma) + ")"
@@ -63,22 +63,16 @@ def classify_orthant(model: AllocationModel, sigma) -> OrthantSignature:
     entry = frozenset(i for i, s in enumerate(sigma) if s * model.b[i] > 0)
     exit_ = frozenset(range(model.n)) - entry
     l = len(entry)
-    if l == model.n:
-        kind = KIND_EXTREMAL_POS
-    elif l == 0:
-        kind = KIND_EXTREMAL_NEG
-    else:
-        kind = KIND_TRANSITIONAL
+    kind = {model.n: KIND_EXTREMAL_POS, 0: KIND_EXTREMAL_NEG}.get(
+        l, KIND_TRANSITIONAL)
     return OrthantSignature(sigma=sigma, entry_set=entry, exit_set=exit_,
                             layer=l, kind=kind)
 
 
 def signature_from_mask(model: AllocationModel, mask: int) -> OrthantSignature:
-    """Build the signature whose entry set is the given bitmask."""
-    sb = np.sign(model.b)
-    sigma = tuple(int(sb[i]) if (mask >> i) & 1 else -int(sb[i])
-                  for i in range(model.n))
-    return classify_orthant(model, sigma)
+    """The signature whose :attr:`OrthantSignature.mask` is ``mask``."""
+    return classify_orthant(model, [1 if mask >> i & 1 else -1
+                                    for i in range(model.n)])
 
 
 def orthant_masks(V: np.ndarray) -> np.ndarray:
@@ -114,13 +108,10 @@ def enumerate_layer(model: AllocationModel, l: int) -> list[OrthantSignature]:
         raise ValueError(f"orthant enumeration capped at n = {MAX_N}")
     if not 0 <= l <= n:
         raise ValueError(f"layer must lie in [0, {n}], got {l}")
-    out = []
-    for entry in combinations(range(n), l):
-        mask = 0
-        for i in entry:
-            mask |= 1 << i
-        out.append(signature_from_mask(model, mask))
-    return out
+    sb = [int(s) for s in np.sign(model.b)]   # sigma_i of an entry face i
+    return [classify_orthant(model, [s if i in entry else -s
+                                     for i, s in enumerate(sb)])
+            for entry in map(set, combinations(range(n), l))]
 
 
 def boundary_strata(model: AllocationModel,
@@ -158,10 +149,9 @@ def reciprocal_hinges(model: AllocationModel, l: int) -> list[StratumDescriptor]
     for sig in enumerate_layer(model, l):
         for i in sorted(sig.entry_set):
             for j in sorted(sig.exit_set):
-                other_mask = sig.mask ^ (1 << i) ^ (1 << j)
-                if other_mask < sig.mask:
-                    continue  # dedupe: keep the pair from its smaller-mask side
-                other = signature_from_mask(model, other_mask)
+                if j < i:
+                    continue  # each pair once: from its side that entered i < j
+                other = signature_from_mask(model, sig.mask ^ (1 << i) ^ (1 << j))
                 hinges.append(StratumDescriptor(
                     (sig, other), frozenset({i, j}), "reciprocal-hinge", n - 2))
     return hinges

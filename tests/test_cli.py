@@ -7,17 +7,23 @@ import subprocess
 import sys
 import warnings
 from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fiberalloc import (build_model, classify_orthant, crossing_parameters,
-                        fiber_point)
+                        errors, fiber_point)
+from fiberalloc.errors import (ConfinementError, DegenerateRedundancyError,
+                               FiberAllocError, RankDeficientError,
+                               SectionSolveError, WrongShapeError)
+from fiberalloc.section import SOLVED
 from fiberalloc.strata import orthant_masks
 from fiberalloc.cli import COMMANDS, build_parser, main
 from conftest import assert_on_leaf
 
 cli = import_module("fiberalloc.cli")
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -158,6 +164,58 @@ class TestFibers:
         assert len(rows) == 401
         assert [r for r in rows if r[-1] == "1"] == [[zero, "0", "0", "0", "1"]]
 
+    @pytest.mark.parametrize("w", ["--w=2", "--w=2,1,3"], ids=["short", "long"])
+    def test_wrong_task_length_is_validation_error(self, model_file, tmp_path,
+                                                   capsys, w):
+        # a refused task leaves no file, not even that of the good task
+        # before it
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model_file, "--out", str(out),
+                     "--w=1,1", w]) == 1
+        shape = (1, len(w.split(",")))
+        assert capsys.readouterr().err == (
+            f"validation error: tasks have shape {shape}, expected (rows, 2)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("w", ["--w=nan,1", "--w=1,-inf"])
+    def test_non_finite_task_is_solver_error(self, model_file, tmp_path,
+                                             capsys, w):
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model_file, "--out", str(out),
+                     "--w=2,1", w, "--samples", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: no fiber for w = [")
+        assert err.endswith(": the task is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam_min, lam_max", [("1", "-1"), ("nan", "1"),
+                                                  ("-1", "inf")])
+    def test_reversed_or_infinite_window_is_validation_error(
+            self, model_file, tmp_path, capsys, lam_min, lam_max):
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model_file, "--out", str(out),
+                     "--w=2,1", f"--lam-min={lam_min}",
+                     f"--lam-max={lam_max}"]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: --lam-min={lam_min} and --lam-max={lam_max} "
+            "must be finite, with --lam-min <= --lam-max\n")
+        assert not out.exists()
+
+    def test_nan_residual_fails_the_self_check(self, model_file, tmp_path,
+                                               capsys, monkeypatch):
+        # NaN compares False with any bound, so the check asks err <= bound
+        def nan_fiber(model, w, lam):
+            x = np.full((len(lam), model.n), np.nan)
+            return x, np.zeros(x.shape, bool)
+
+        monkeypatch.setattr(cli, "_on_fiber", nan_fiber)
+        out = tmp_path / "fib"
+        assert main(["fibers", "--model", model_file, "--out", str(out),
+                     "--w=2,1", "--samples", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "solver error: self-check failed: |f(v) - w| = nan\n")
+        assert not out.exists()
+
 
 class TestFoliation:
     def test_level_sets(self, model_file, tmp_path):
@@ -243,8 +301,38 @@ class TestFoliation:
         assert "validation error: empty entry in the vector '0.25,,4'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("state, err", [(1.0, "1"), (np.nan, "nan")],
+                             ids=["off-the-leaf", "nan"])
+    def test_failed_self_check_is_solver_error(self, model_file, tmp_path,
+                                               capsys, monkeypatch, state, err):
+        def off_the_leaf(model, W, layer, C):
+            rows = len(W)
+            return (np.full((rows, model.n), state), np.zeros(rows),
+                    np.full(rows, SOLVED))
+
+        monkeypatch.setattr(cli, "layer_section", off_the_leaf)
+        out = tmp_path / "fol"
+        assert main(["foliation", "--model", model_file, "--out", str(out),
+                     "--layer", "3", "--C", "1", "--grid", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"solver error: self-check failed: |Phi(v) - C| = {err}\n")
+        assert not out.exists()
+
 
 class TestStrata:
+    @pytest.mark.parametrize("layer", range(5))
+    def test_files_are_pinned(self, tmp_path, layer):
+        # integer combinatorics of a model with b = (+, -, +, +): the same
+        # bytes on every machine
+        model = tmp_path / "model4.json"
+        model.write_text(json.dumps(
+            {"A": [[1, 2, 0, 1], [0, 1, 1, -1], [1, 0, -1, 1]]}))
+        assert main(["strata", "--model", str(model), "--out", str(tmp_path),
+                     "--layer", str(layer)]) == 0
+        for name in (f"layer_{layer}.json", f"layer_{layer}.dot"):
+            assert (tmp_path / name).read_bytes() == \
+                (DATA / "strata_3x4" / name).read_bytes()
+
     def test_layer_graph(self, model_file, tmp_path, capsys):
         out = tmp_path / "strata"
         rc = main(["strata", "--model", model_file, "--out", str(out),
@@ -561,6 +649,34 @@ PARSER_EXITS = [
     ["invert", "--model", "m.json", "--w", "1", "--seed", "1"],
     ["strata", "--model", "m.json", "--layer", "1", "--seed", "3"],
 ]
+
+
+def _instance(cls):
+    """An instance of the FiberAllocError class ``cls``."""
+    if issubclass(cls, SectionSolveError):
+        return cls(0, np.array([1.0, 2.0]), "a reason")
+    args = {DegenerateRedundancyError: (1, 0.0), ConfinementError: (3,)}
+    return cls(*args.get(cls, ("a message",)))
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, FiberAllocError)
+    ], ids=lambda c: c.__name__)
+    def test_error_class_picks_the_exit_code(self, capsys, monkeypatch, cls):
+        exc = _instance(cls)
+
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_invert", raising)
+        validation = cls in (WrongShapeError, RankDeficientError,
+                             DegenerateRedundancyError)
+        assert main(["invert", "--model", "m.json", "--w=1,2"]) == \
+            (1 if validation else 2)
+        label = "validation error" if validation else "solver error"
+        assert capsys.readouterr().err == f"{label}: {exc}\n"
 
 
 class TestParser:

@@ -11,7 +11,9 @@ from fiberalloc import (
     fiber_tangent_space,
     forward_progress,
     jacobian,
+    potential_along_fiber,
 )
+from fiberalloc.errors import WrongShapeError
 from conftest import random_model
 
 SQRT2 = math.sqrt(2.0)
@@ -69,6 +71,19 @@ class TestCrossingParameters:
         assert len(tr.orthant_sequence) == 4
         assert str(tr.orthant_sequence[0]) == "(-,-,+)"
         assert str(tr.orthant_sequence[-1]) == "(+,+,-)"
+
+
+@pytest.mark.parametrize("w", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    lambda m, w: fiber_point(m, w, 0.5),
+    lambda m, w: crossing_parameters(m, w),
+    lambda m, w: potential_along_fiber(m, w, 0.5),
+], ids=["fiber_point", "crossing_parameters", "potential_along_fiber"])
+def test_task_of_the_wrong_length_is_refused(m3, call, w):
+    # einsum would broadcast a length-1 task over every task component
+    with pytest.raises(WrongShapeError,
+                       match=rf"tasks have shape \(1, {len(w)}\), expected \(rows, 2\)"):
+        call(m3, w)
 
 
 class TestTangentSpace:

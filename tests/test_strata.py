@@ -14,6 +14,7 @@ from fiberalloc import (
     layer_adjacency_graph,
     reciprocal_hinges,
 )
+from fiberalloc.strata import orthant_masks, signature_from_mask
 from conftest import model_with_b, random_model
 
 
@@ -62,6 +63,33 @@ class TestClassify:
         neg = extremal_signature(m3, "negative")
         assert pos.sigma == (1, 1, -1)
         assert neg.sigma == (-1, -1, 1)
+
+
+class TestMask:
+    """An orthant's mask is the orthant_masks of its states, bit i for v_i > 0."""
+
+    @pytest.fixture(params=[2, 3, 5, 8, 70])
+    def model(self, request):
+        rng = np.random.default_rng(request.param)
+        n = request.param
+        if n < 64:
+            return random_model(rng, n)
+        # past 63 actuators orthant_masks returns Python ints
+        return model_with_b(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n))
+
+    def test_mask_of_a_state(self, model):
+        rng = np.random.default_rng(model.n + 100)
+        V = rng.normal(size=(20, model.n))
+        masks = orthant_masks(V)
+        for v, k in zip(V, masks.tolist()):
+            assert classify_orthant(model, np.sign(v)).mask == k
+            assert signature_from_mask(model, k).sigma == tuple(np.sign(v))
+
+    def test_mask_round_trip(self, model):
+        rng = np.random.default_rng(model.n + 200)
+        for _ in range(20):
+            k = int.from_bytes(rng.bytes(16), "little") % (1 << model.n)
+            assert signature_from_mask(model, k).mask == k
 
 
 class TestLayers:
