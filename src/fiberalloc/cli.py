@@ -17,13 +17,12 @@ included, is a solver error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
 import sys
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +58,6 @@ _HELPER = Path(__file__).with_name("_csvrows.py")
 
 _VALIDATION_ERRORS = (WrongShapeError, RankDeficientError,
                       DegenerateRedundancyError, ValueError)
-
-
-@contextmanager
-def _csv_file(path: Path, header: list[str], seed):
-    """Open a CSV output and write its comment line and header row."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# fiberalloc {__version__} seed={seed}\n")
-        csv.writer(fh).writerow(header)
-        yield fh
 
 
 def _cpus() -> int:
@@ -109,7 +98,9 @@ def _start_helper(formats: dict, masks: np.ndarray, values: np.ndarray,
 def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
                model: AllocationModel | None = None,
                masks: np.ndarray | None = None, at: int | None = None) -> None:
-    """Float rows, and optionally orthant signatures, as csv.writer writes them.
+    """Float rows, and optionally orthant signatures, as csv.writer would
+    write them, after a comment line and the header row (fixed names, which
+    need no quoting).
 
     Floats get 17 significant digits.  With ``masks``, row k also gets the
     orthant signature of ``masks[k]`` (bit i set when v_i > 0), quoted (its
@@ -136,7 +127,10 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
             text = signature_from_mask(model, k)
             formats[k] = (",".join(cols[:at] + [f'"{text}"'] + cols[at:])
                           + "\r\n")
-    with _csv_file(path, header, seed) as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# fiberalloc {__version__} seed={seed}\n" + ",".join(header)
+                 + "\r\n")
         helper, half = None, rows // 2
         if rows >= HELPER_ROWS and _cpus() > 1:
             helper = _start_helper(formats, masks[half:], values[half:],

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import WrongShapeError
 from .model import AllocationModel, untransform
-from .strata import OrthantSignature, classify_orthant
+from .strata import OrthantSignature, extremal_signature, signature_from_mask
 
 #: A crossing's relative noise bound, 32 times its rounding bound (see crossings).
 CROSSING_RTOL = 32 * np.finfo(float).eps
@@ -89,8 +89,7 @@ def _rowwise_matvec(W: np.ndarray, M: np.ndarray) -> np.ndarray:
 def fiber_point(model: AllocationModel, w, lam: float) -> FiberPoint:
     """Evaluate gamma(w, lambda) and its parametric tangent; components on
     their hyperplane (see :func:`crossings`) are 0 and divergent."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    x, div = _on_fiber(model, w, lam)
+    x, div = _on_fiber(model, _bare_task(w), lam)
     v = untransform(x)
     tangent = np.empty(model.n)
     tangent[~div] = model.b[~div] / (2.0 * np.sqrt(np.abs(x[~div])))
@@ -109,36 +108,37 @@ def crossing_parameters(model: AllocationModel, w) -> FiberTrace:
     solves.  The trace is generic when no merge occurs.  The orthant sequence
     starts at -sign(b) and flips the signs of each merged group in turn.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
+    w = _bare_task(w)
     (lam_star,), (noise,) = crossings(model, w[None, :])
     order = np.argsort(lam_star)
-    groups = [(float(lam_star[order[0]]), [int(order[0])])]
-    for i, j in zip(order[:-1], order[1:]):
-        if lam_star[j] - lam_star[i] <= noise[i] + noise[j]:
-            groups[-1][1].append(int(j))
-        else:
-            groups.append((float(lam_star[j]), [int(j)]))
-    distinct = tuple((lam, tuple(idx)) for lam, idx in groups)
+    lam, noise = lam_star[order], noise[order]
+    starts = np.flatnonzero(~(np.diff(lam) <= noise[:-1] + noise[1:])) + 1
+    distinct = tuple((float(lam[k]), tuple(idx.tolist())) for k, idx
+                     in zip([0, *starts], np.split(order, starts)))
 
-    sigma = -np.sign(model.b).astype(int)
-    seq = [classify_orthant(model, sigma)]
+    seq = [extremal_signature(model, "negative")]
     for _, idx in distinct:
-        sigma[list(idx)] *= -1
-        seq.append(classify_orthant(model, sigma))
+        seq.append(signature_from_mask(
+            model, seq[-1].mask ^ sum(1 << i for i in idx)))
     return FiberTrace(
-        w=w, crossings=tuple((float(lam_star[i]), int(i)) for i in order),
+        w=w, crossings=tuple(zip(lam.tolist(), order.tolist())),
         distinct_crossings=distinct, orthant_sequence=tuple(seq),
         generic=len(distinct) == model.n,
         skipped_orthants=model.n + 1 - len(seq))
 
 
-def _bare_state(v) -> np.ndarray:
+def _bare_state(v, name: str = "state") -> np.ndarray:
     """v as a float array; ValueError naming its first non-finite component."""
     v = np.asarray(v, dtype=float)
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
-        raise ValueError(f"state component {bad[0]} is not finite: {v.flat[bad[0]]}")
+        raise ValueError(f"{name} component {bad[0]} is not finite: {v.flat[bad[0]]}")
     return v
+
+
+def _bare_task(w) -> np.ndarray:
+    """w as a 1-d float array; ValueError naming its first non-finite component."""
+    return _bare_state(np.atleast_1d(w), "task")
 
 
 def _kernel_direction(model: AllocationModel, v) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryStateError, CrossingStateError, NonGenericSegmentError
-from .fibers import (FiberTrace, _bare_state, _kernel_direction, _on_fiber,
-                     crossing_parameters)
+from .fibers import (FiberTrace, _bare_state, _bare_task, _kernel_direction,
+                     _on_fiber, crossing_parameters)
 from .model import AllocationModel
 from .section import SectionPoint, layer_point
 
@@ -73,14 +73,14 @@ def potential_along_fiber(model: AllocationModel, w, lam: float) -> PotentialVal
     square-root transform: (1/2) sum b_i sign(u_i) ln|u_i| with u_i = b_i
     (lambda - lambda*_i), 0 on its hyperplane (see fibers.crossings).
     """
-    u, _ = _on_fiber(model, np.atleast_1d(np.asarray(w, dtype=float)), lam)
+    u, _ = _on_fiber(model, _bare_task(w), lam)
     phi = _phi(model.b, u)
     return PotentialValue(0.5 * phi.value, phi.boundary_indices)
 
 
 def potential_slope(model: AllocationModel, w, lam: float) -> float:
     """d C_w / d lambda = sum b_i^2 / (2 v_i^2); strictly positive."""
-    u, on = _on_fiber(model, np.atleast_1d(np.asarray(w, dtype=float)), lam)
+    u, on = _on_fiber(model, _bare_task(w), lam)
     if on.any():
         raise CrossingStateError(f"lambda = {lam:g} sits on a hyperplane crossing")
     with np.errstate(over="ignore"):   # a subnormal u_i gives +inf
@@ -130,7 +130,6 @@ def section_intersection(model: AllocationModel, w, segment: int,
     for a generic fiber, and every segment admits every real C.  The solve is
     :func:`fiberalloc.section.layer_point` on that layer.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
     trace = crossing_parameters(model, w)
     segments = len(trace.distinct_crossings) + 1
     if not 0 <= segment < segments:
@@ -138,4 +137,4 @@ def section_intersection(model: AllocationModel, w, segment: int,
             f"segment {segment} out of range: fiber has {segments} segments "
             f"({trace.skipped_orthants} orthants skipped by merged crossings)")
     layer = sum(len(idx) for _, idx in trace.distinct_crossings[:segment])
-    return layer_point(model, w, layer, C)
+    return layer_point(model, trace.w, layer, C)

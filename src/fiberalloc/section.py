@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fibers import _rowwise_matvec, crossings
 from .model import AllocationModel
-from .strata import OrthantSignature, classify_orthant
+from .strata import OrthantSignature, orthant_masks, signature_from_mask
 
 #: Newton steps allowed per row of a section solve (a handful suffice).
 NEWTON_MAX_ITER = 64
@@ -247,6 +247,6 @@ def layer_point(model: AllocationModel, w, layer: int, C: float) -> SectionPoint
     C in a layer-``layer`` orthant, with its orthant signature."""
     V, lam = solve_rows(model, np.atleast_1d(np.asarray(w, dtype=float))[None, :],
                         layer, C)
-    sig = classify_orthant(model, np.where(V[0] > 0, 1, -1))
+    sig = signature_from_mask(model, int(orthant_masks(V)[0]))
     return SectionPoint(v=V[0], lam=float(lam[0]), orthant=sig, layer=sig.layer)
 

@@ -12,6 +12,8 @@ from fiberalloc import (
     forward_progress,
     jacobian,
     potential_along_fiber,
+    potential_slope,
+    section_intersection,
 )
 from fiberalloc.errors import WrongShapeError
 from conftest import random_model
@@ -84,6 +86,22 @@ def test_task_of_the_wrong_length_is_refused(m3, call, w):
     with pytest.raises(WrongShapeError,
                        match=rf"tasks have shape \(1, {len(w)}\), expected \(rows, 2\)"):
         call(m3, w)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda m, w: fiber_point(m, w, 0.5),
+    lambda m, w: crossing_parameters(m, w),
+    lambda m, w: potential_along_fiber(m, w, 0.5),
+    lambda m, w: potential_slope(m, w, 0.5),
+    lambda m, w: section_intersection(m, w, 0, 0.0),
+], ids=["fiber_point", "crossing_parameters", "potential_along_fiber",
+        "potential_slope", "section_intersection"])
+def test_non_finite_task_is_refused(m3, call, value):
+    # a NaN task would give a NaN trace marked generic, an infinite one a
+    # -inf potential with every component on its hyperplane
+    with pytest.raises(ValueError, match=f"task component 1 is not finite: {value}"):
+        call(m3, [1.0, value])
 
 
 class TestTangentSpace:

@@ -14,7 +14,8 @@ from fiberalloc import (
     layer_adjacency_graph,
     reciprocal_hinges,
 )
-from fiberalloc.strata import orthant_masks, signature_from_mask
+from fiberalloc import strata
+from fiberalloc.strata import OrthantSignature, orthant_masks, signature_from_mask
 from conftest import model_with_b, random_model
 
 
@@ -90,6 +91,12 @@ class TestMask:
         for _ in range(20):
             k = int.from_bytes(rng.bytes(16), "little") % (1 << model.n)
             assert signature_from_mask(model, k).mask == k
+
+    def test_mask_out_of_range_is_refused(self, model):
+        # taken modulo 2^n, such a mask would alias another orthant
+        for k in (-1, 1 << model.n):
+            with pytest.raises(ValueError, match=rf"mask must lie in \[0, 2\^{model.n}\)"):
+                signature_from_mask(model, k)
 
 
 class TestLayers:
@@ -215,6 +222,30 @@ class TestAdjacencyGraph:
         assert len(g["nodes"]) == 10
         assert len(g["edges"]) == 30
         assert g["connected"]
+
+    def test_every_layer_up_to_n12(self):
+        rng = np.random.default_rng(101)
+        for n in range(2, 13):
+            m = random_model(rng, n)
+            for l in range(n + 1):
+                g = layer_adjacency_graph(m, l)
+                assert len(g["nodes"]) == comb(n, l)
+                assert len(g["edges"]) == hinge_count(n, l)
+                assert g["connected"]
+
+    def test_builds_each_signature_once(self, monkeypatch):
+        # each hinge partner is one of the layer's enumerated nodes
+        built = []
+
+        def counting(**fields):
+            built.append(OrthantSignature(**fields))
+            return built[-1]
+
+        m = random_model(np.random.default_rng(103), 8)
+        monkeypatch.setattr(strata, "OrthantSignature", counting)
+        g = layer_adjacency_graph(m, 4)
+        assert len(built) == comb(8, 4) == len(g["nodes"])
+        assert {id(s) for e in g["edges"] for s in e.orthants} <= {id(s) for s in built}
 
 
 class TestTraversalConsistency:
