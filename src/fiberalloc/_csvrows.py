@@ -2,11 +2,12 @@
 
 The module uses the standard library only, so that it also runs as a script
 in a bare interpreter (``python -I -S _csvrows.py``), which starts without
-numpy and without ``site``.  As a script it reads from stdin one JSON header
-line ``{"formats": [...], "cols": k, "chunk": c, "encoding": e}``, then the
-int64 row-format index of each row, then the float64 values of the rows, k a
-row, both in native byte order.  It writes the formatted rows to stdout in
-the encoding e.
+numpy and without ``site``.  As a script it reads from stdin, a pipe that
+the parent fills once its rows are computed (it may start the helper
+earlier), one JSON header line ``{"formats": [...], "cols": k, "chunk": c,
+"encoding": e}``, then the int64 row-format index of each row, then the
+float64 values of the rows, k a row, both in native byte order, up to the end
+of the input.  It writes the formatted rows to stdout in the encoding e.
 """
 import json
 import sys

@@ -22,7 +22,7 @@ import os
 import shutil
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,9 @@ SELF_CHECK_TOL = 1e-8
 #: Lift rows formatted per write; bounds the memory the CSV text takes.
 CSV_CHUNK_ROWS = 4096
 #: Rows from which a CSV's second half goes to a helper process, when more
-#: than one CPU is free.  The helper takes 20-40 ms to start, the time of
-#: formatting some 10k rows; the half it takes over is well past that.
+#: than one CPU is free.  The helper takes about 9 ms to start (2-vCPU AMD
+#: EPYC), the time of formatting some 6k rows; the half it takes over is
+#: well past that, and a lift starts it before the solve.
 HELPER_ROWS = 8 * CSV_CHUNK_ROWS
 _HELPER = Path(__file__).with_name("_csvrows.py")
 
@@ -68,31 +69,55 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper(formats: dict, masks: np.ndarray, values: np.ndarray,
-                  encoding: str):
-    """A helper process formatting the rows ``masks``, ``values`` as
-    :func:`_write_csv` does, with its output on a pipe; None when it cannot
-    be started.
-
-    Its input goes through a temporary file, so that the helper reads it at
-    its own pace while this process formats its own rows.
-    """
+def _start_helper():
+    """A helper process (``_csvrows.py``) that waits for rows on its stdin
+    pipe and writes their text to its stdout pipe; None when it cannot be
+    started."""
     import subprocess
-    import tempfile
+    try:
+        return subprocess.Popen([sys.executable, "-I", "-S", str(_HELPER)],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    except OSError:
+        return None
+
+
+@contextmanager
+def _csv_helper(rows: int):
+    """The helper process for a CSV of ``rows`` rows, or None.
+
+    One is started from HELPER_ROWS rows on, when more than one CPU is free,
+    and can be started before the rows are known, so that its start-up
+    overlaps the work that computes them.  It is killed on an error in the
+    block and always reaped on leaving it.
+    """
+    helper = _start_helper() if rows >= HELPER_ROWS and _cpus() > 1 else None
+    if helper is None:
+        yield None
+        return
+    with helper:   # Popen's exit closes the pipes and waits for the helper
+        try:
+            yield helper
+        except BaseException:
+            helper.kill()
+            raise
+
+
+def _feed_helper(helper, formats: dict, masks: np.ndarray,
+                 values: np.ndarray, encoding: str) -> None:
+    """Send the rows ``masks``, ``values`` to ``helper``, formatted as
+    :func:`_write_csv` formats them, and close its stdin.  A helper that
+    has already exited is reported by its exit code, not here."""
     table = sorted(formats)
     index = np.searchsorted(np.array(table, masks.dtype), masks)
     header = {"formats": [formats[k] for k in table], "cols": values.shape[1],
               "chunk": CSV_CHUNK_ROWS, "encoding": encoding}
     try:
-        with tempfile.TemporaryFile() as rows:
-            rows.write(json.dumps(header).encode() + b"\n")
-            rows.write(memoryview(index.astype(np.int64, copy=False)))
-            rows.write(memoryview(values))
-            rows.seek(0)
-            return subprocess.Popen([sys.executable, "-I", "-S", str(_HELPER)],
-                                    stdin=rows, stdout=subprocess.PIPE)
-    except OSError:
-        return None
+        with helper.stdin as pipe:
+            pipe.write(json.dumps(header).encode() + b"\n")
+            pipe.write(memoryview(index.astype(np.int64, copy=False)))
+            pipe.write(memoryview(values))
+    except BrokenPipeError:
+        pass
 
 
 def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
@@ -111,9 +136,20 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
 
     From HELPER_ROWS rows on, when more than one CPU is free, the second half
     of the rows is formatted meanwhile by a helper process (``_csvrows.py``,
-    standard library only) and appended; the file's bytes are the same.  A
-    helper that fails raises OSError.
+    standard library only; see :func:`_csv_helper`) and appended; the file's
+    bytes are the same.  A helper that fails raises OSError.
     """
+    with _csv_helper(len(values)) as helper:
+        _write_csv_with(helper, path, header, values, seed, model, masks, at)
+
+
+def _write_csv_with(helper, path: Path, header: list[str], values, seed,
+                    model: AllocationModel | None = None,
+                    masks: np.ndarray | None = None,
+                    at: int | None = None) -> None:
+    """:func:`_write_csv` with the second half of the rows formatted by
+    ``helper``, a process of :func:`_csv_helper` started for as many rows,
+    or every row in process when it is None."""
     values = np.ascontiguousarray(values, dtype=float)
     rows, ncols = values.shape
     cols = ["%.17g"] * ncols
@@ -129,27 +165,20 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
                           + "\r\n")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
+        split = rows if helper is None else rows // 2
+        if helper is not None:
+            _feed_helper(helper, formats, masks[split:], values[split:],
+                         fh.encoding)
         fh.write(f"# fiberalloc {__version__} seed={seed}\n" + ",".join(header)
                  + "\r\n")
-        helper, half = None, rows // 2
-        if rows >= HELPER_ROWS and _cpus() > 1:
-            helper = _start_helper(formats, masks[half:], values[half:],
-                                   fh.encoding)
-        split = rows if helper is None else half
         del keys[split:]   # the rest are the helper's
-        with helper or nullcontext():   # Popen's exit waits for the helper
-            try:
-                fh.writelines(format_rows(
-                    formats, keys, memoryview(values[:split].reshape(-1)),
-                    ncols, CSV_CHUNK_ROWS))
-                if helper is not None:
-                    fh.flush()
-                    shutil.copyfileobj(helper.stdout, fh.buffer, 1 << 16)
-            except BaseException:
-                if helper is not None:
-                    helper.kill()
-                raise
-    if helper is not None and helper.returncode:
+        fh.writelines(format_rows(
+            formats, keys, memoryview(values[:split].reshape(-1)), ncols,
+            CSV_CHUNK_ROWS))
+        if helper is not None:
+            fh.flush()
+            shutil.copyfileobj(helper.stdout, fh.buffer, 1 << 16)
+    if helper is not None and helper.wait():
         raise OSError(f"{path}: the CSV row helper exited with code "
                       f"{helper.returncode}")
 
@@ -256,8 +285,8 @@ def cmd_foliation(args) -> int:
 def cmd_strata(args) -> int:
     model = load_model(args.model)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     graph = layer_adjacency_graph(model, args.layer)
+    out.mkdir(parents=True, exist_ok=True)
     (out / f"layer_{args.layer}.json").write_text(graph_to_json(graph))
     (out / f"layer_{args.layer}.dot").write_text(graph_to_dot(graph))
     print(f"layer {args.layer}: {len(graph['nodes'])} orthants, "
@@ -296,30 +325,41 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def cmd_lift(args) -> int:
-    model = load_model(args.model)
-    out = Path(args.out)
-    with open(args.trajectory) as fh:
+def _read_trajectory(path) -> np.ndarray:
+    """The samples of a trajectory CSV, one ``t, w_1..w_m`` row each, after
+    its comment lines and header row; ValueError naming ``path`` for a file
+    without samples or with a row that does not parse."""
+    with open(path) as fh:
         for line in fh:
             if not line.startswith("#"):
                 break   # the header row
         with warnings.catch_warnings():   # no rows is refused below
             warnings.filterwarnings("ignore",
                                     "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     if not len(data):
-        raise ValueError(
-            f"{args.trajectory}: the trajectory file has no samples")
+        raise ValueError(f"{path}: the trajectory file has no samples")
+    return data
+
+
+def cmd_lift(args) -> int:
+    model = load_model(args.model)
+    out = Path(args.out)
+    data = _read_trajectory(args.trajectory)
     t, w_samples = data[:, 0], data[:, 1:]
 
-    lifted = lift_trajectory(model, t, w_samples, args.allocator,
-                             _layer(model, args), args.C)
-
-    header = ["t"] + [f"v_{i+1}" for i in range(model.n)] + \
-        ["speed", "min_abs_v", "signature"]
-    values = np.column_stack([t, lifted.v, lifted.speed, lifted.min_abs_v])
-    _write_csv(out / f"lift_{args.allocator}.csv", header, values, args.seed,
-               model, lifted.masks)
+    # the CSV helper starts up while the samples are solved
+    with _csv_helper(len(t)) as helper:
+        lifted = lift_trajectory(model, t, w_samples, args.allocator,
+                                 _layer(model, args), args.C)
+        header = ["t"] + [f"v_{i+1}" for i in range(model.n)] + \
+            ["speed", "min_abs_v", "signature"]
+        values = np.column_stack([t, lifted.v, lifted.speed, lifted.min_abs_v])
+        _write_csv_with(helper, out / f"lift_{args.allocator}.csv", header,
+                        values, args.seed, model, lifted.masks)
     summary = {
         "allocator": args.allocator,
         "samples": len(t),

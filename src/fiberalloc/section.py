@@ -21,6 +21,13 @@ sum_i |b_i| ln|b_i|, lies above the root, as t C_w >= K + 1/2 ||b||_1 r.
 v_i = sign(u_i) sqrt|b_i| exp(1/2 L_i) is rebuilt from the logs, so there is
 no cap on lambda and no special case for roots closer to a crossing than
 lambda resolves.
+
+Every log-sum of the solve (F at the midpoint, each Newton step's L and the
+final L) is max(a, x) + log1p(e^-|a - x|), written with numpy's vectorized
+exp and log1p (:func:`_logaddexp`); np.logaddexp is scalar libm code, about
+3.5x slower on a chunk.  The kernel is elementwise or sums each row on its own
+(fibers._rowwise_matvec), so a row's result is bit-identical in every batch
+and input layout, a batch of one included.
 """
 from __future__ import annotations
 
@@ -44,6 +51,8 @@ from .strata import OrthantSignature, orthant_masks, signature_from_mask
 NEWTON_MAX_ITER = 64
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 SQRT_TINY = math.sqrt(TINY)
+#: A Newton step within this many times 1 + |r| is rounding: the row stops.
+STEP_RTOL = 4.0 * EPS
 #: Rows a batch solve (solve_rows) passes to layer_section at once.
 SOLVE_CHUNK_ROWS = 4096
 #: Per-row status of a section solve (see layer_section).
@@ -93,13 +102,18 @@ def _segment(model: AllocationModel, W: np.ndarray, layer: int):
     lambda - lambda*_i on it, ln off_i and the status before the solve."""
     rows = np.arange(W.shape[0])
     lam_star, noise = crossings(model, W)
-    order = np.argsort(lam_star, axis=1)
+    if 0 < layer < model.n:
+        order = np.argsort(lam_star, axis=1)
+        bounds = order[:, layer - 1], order[:, layer]
+    else:   # one bounding crossing: the largest on layer n, the smallest on 0
+        bounds = ((lam_star.argmax(axis=1), None) if layer
+                  else (None, lam_star.argmin(axis=1)))
     ends = []   # the layer-th and layer + 1-th crossings and their noise bounds
-    for k, beyond in ((layer - 1, -np.inf), (layer, np.inf)):
-        if 0 <= k < model.n:
-            ends.append((lam_star[rows, order[:, k]], noise[rows, order[:, k]]))
-        else:   # beyond the outer crossings: unbounded, with a zero noise bound
+    for k, beyond in zip(bounds, (-np.inf, np.inf)):
+        if k is None:   # beyond the outer crossings: unbounded, zero noise bound
             ends.append((np.full(W.shape[0], beyond), np.zeros(W.shape[0])))
+        else:
+            ends.append((lam_star[rows, k], noise[rows, k]))
     (lo, noise_lo), (hi, noise_hi) = ends
     # a tie at lo makes D = 0, a REFUSED row
     entered = lam_star <= lo[:, None]
@@ -109,8 +123,29 @@ def _segment(model: AllocationModel, W: np.ndarray, layer: int):
     off = sg * (np.where(entered, lo[:, None], hi[:, None]) - lam_star)
     off[off <= noise + np.where(entered, noise_lo[:, None], noise_hi[:, None])] = 0.0
     status = np.where(hi - lo > noise_lo + noise_hi, SOLVED, REFUSED)
-    status[~np.all(np.isfinite(lam_star + noise), axis=1)] = OUT_OF_RANGE
+    status[~_across_columns(np.logical_and,
+                            np.isfinite(lam_star + noise))] = OUT_OF_RANGE
     return lo, hi, sg, np.log(off), status
+
+
+def _across_columns(op, X: np.ndarray) -> np.ndarray:
+    """op.reduce(X, axis=1) for a boolean X, reduced column by column over a
+    transposed copy: numpy reduces along a short row axis 10x slower."""
+    return op.reduce(np.ascontiguousarray(X.T), axis=0)
+
+
+def _logaddexp(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.logaddexp(a, x) to a few ulps: max(a, x) + log1p(e^-|a - x|),
+    with numpy's vectorized exp and log1p (its logaddexp is scalar libm code,
+    about 3.5x slower on a chunk).  Elementwise, so a row's result is the same
+    in every batch; equal infinities give themselves, as in np.logaddexp."""
+    hi = np.maximum(a, x)
+    d = np.minimum(a, x)
+    np.subtract(d, hi, d)   # NaN only where a = x = +-inf (or hi is NaN)
+    np.fmax(d, -np.inf, d)
+    np.exp(d, d)
+    np.log1p(d, d)
+    return np.add(hi, d, d)
 
 
 def _section(model: AllocationModel, W: np.ndarray, layer: int,
@@ -118,68 +153,80 @@ def _section(model: AllocationModel, W: np.ndarray, layer: int,
     """The segment solve of the module docstring, for layer_section; the
     set-up arrays of :func:`_segment` are freed before the Newton steps."""
     lo, hi, sg, log_off, status = _segment(model, W, layer)
-    D = hi - lo
     half_b = 0.5 * np.abs(model.b)
     offset = _rowwise_matvec(sg, (half_b * np.log(np.abs(model.b)))[None, :])[:, 0] - C
-    log_D = np.log(D)
     if 0 < layer < model.n:
         # the root lies in the half of (lo, hi) on the side of C_w(midpoint) - C;
         # solve from that end p = lo (t = +1) or hi (t = -1) in r = ln|lambda - p|
-        r = np.log(0.5 * D)
-        F_mid = _rowwise_matvec(sg * np.logaddexp(log_off, r[:, None]),
+        D = hi - lo
+        log_D, r = np.log(D), np.log(0.5 * D)
+        F_mid = _rowwise_matvec(sg * _logaddexp(log_off, r[:, None]),
                                 half_b[None, :])[:, 0] + offset
         t = np.where(F_mid > 0.0, 1.0, -1.0)
         near = sg == t[:, None]
+        p = np.where(t > 0.0, lo, hi)
     else:
         # D = inf: p = lo on layer n, hi on layer 0, where every component vanishes
-        t = np.full(W.shape[0], 1.0 if layer else -1.0)
+        t, p = (1.0, lo) if layer else (-1.0, hi)
         r = -t * offset / half_b.sum()
-        near = None
+        near = log_D = None
     L, active = _newton(r, np.flatnonzero(status == SOLVED), log_off,
                         t * offset, half_b, near, log_D)
     V = sg * model.c * np.exp(0.5 * L)
-    lam = np.where(t > 0.0, lo, hi) + t * np.exp(r)
+    lam = p + t * np.exp(r)
     return V, lam, _status(V, status, active)
 
 
+def _log_offsets(r: np.ndarray, log_off: np.ndarray, near, log_D) -> np.ndarray:
+    """L_i = ln|lambda - lambda*_i| at r per row, as the module docstring
+    says; ``near`` and ``log_D`` as in :func:`_newton`."""
+    x = r[:, None]
+    if near is not None:
+        x = np.where(near, x, (log_D + np.log1p(-np.exp(r - log_D)))[:, None])
+    return _logaddexp(log_off, x)
+
+
 def _newton(r: np.ndarray, active: np.ndarray, log_off: np.ndarray,
-            offset: np.ndarray, half_b: np.ndarray, near, log_D: np.ndarray):
+            offset: np.ndarray, half_b: np.ndarray, near, log_D):
     """The Newton iteration of the module docstring on G(r) = sum_i +-1/2
     |b_i| L_i(r) + offset, + where ``near`` marks a component vanishing at p
-    (None: every component, D = inf), for the ``active`` rows.  A row stops
-    on G <= 0, a non-finite G or a step within rounding of r.  Updates r in
-    place; returns L at the final r and the rows still active after
-    NEWTON_MAX_ITER steps.
+    (None: every component, D = inf, and ``log_D`` None too), for the
+    ``active`` rows.  A row stops on G <= 0, a non-finite G or a step within
+    rounding of r.  Updates r in place; returns L at the final r and the rows
+    still active after NEWTON_MAX_ITER steps.
     """
-    def log_offsets(rows, r_rows):
-        x = r_rows[:, None]
-        if near is not None:
-            x = np.where(near[rows], x, (log_D[rows] + np.log1p(
-                -np.exp(r_rows - log_D[rows])))[:, None])
-        return np.logaddexp(log_off[rows], x)
-
+    half_b = half_b[None, :]
+    # the active rows' constants, gathered again only when rows stop
+    consts = (log_off, offset, near, log_D)
+    if active.size < r.size:
+        consts = tuple(None if c is None else c[active] for c in consts)
+    r_act = r[active]
     for _ in range(NEWTON_MAX_ITER):
         if active.size == 0:
             break
-        r_act = r[active]
-        L = log_offsets(active, r_act)
-        signed = L if near is None else np.where(near[active], L, -L)
-        G = _rowwise_matvec(signed, half_b[None, :])[:, 0] + offset[active]
+        log_off_a, offset_a, near_a, log_D_a = consts
+        L = _log_offsets(r_act, log_off_a, near_a, log_D_a)
+        signed = L if near_a is None else np.where(near_a, L, -L)
+        G = _rowwise_matvec(signed, half_b)[:, 0] + offset_a
         # dG/dr = sum_i 1/2 |b_i| e^(r - L_i), near and far components alike
-        step = G / _rowwise_matvec(np.exp(r_act[:, None] - L),
-                                   half_b[None, :])[:, 0]
-        r[active] = r_act - step
+        step = G / _rowwise_matvec(np.exp(r_act[:, None] - L), half_b)[:, 0]
         done = ((G <= 0.0) | ~np.isfinite(G)
-                | (np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(r_act))))
-        active = active[~done]
-    return log_offsets(slice(None), r), active
+                | (np.abs(step) <= STEP_RTOL * (1.0 + np.abs(r_act))))
+        r_act = r_act - step
+        if np.count_nonzero(done):   # a row that stops keeps its last step
+            r[active[done]] = r_act[done]
+            keep = ~done
+            active, r_act = active[keep], r_act[keep]
+            consts = tuple(None if c is None else c[keep] for c in consts)
+    r[active] = r_act
+    return _log_offsets(r, log_off, near, log_D), active
 
 
 def _status(V: np.ndarray, status: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Mark the OUT_OF_RANGE and NO_CONVERGENCE rows, as layer_section says."""
     absV = np.abs(V)
-    ok = ((np.isfinite(V) & (absV >= TINY)).all(axis=1)
-          & (absV >= SQRT_TINY).any(axis=1))
+    ok = (_across_columns(np.logical_and, np.isfinite(V) & (absV >= TINY))
+          & _across_columns(np.logical_or, absV >= SQRT_TINY))
     status[~ok & (status == SOLVED)] = OUT_OF_RANGE
     status[active] = NO_CONVERGENCE
     return status

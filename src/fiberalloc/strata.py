@@ -8,6 +8,8 @@ of an orthant is the number of its entry faces, the i with sigma_i * b_i > 0.
 A layer has C(n, l) orthants and l (n - l) C(n, l) / 2 hinges: the middle
 layer's adjacency graph took 3 ms at n = 10, 16 ms at n = 12 and 83 ms at
 n = 14 (timeit minima on a 2-vCPU AMD EPYC), about 5x per two more actuators.
+A hinge takes about 0.5 kB, so layers of more than MAX_HINGES hinges are
+refused: every layer up to n = 18 (1 969 110 hinges in its middle layer) fits.
 """
 from __future__ import annotations
 
@@ -22,6 +24,9 @@ from .model import AllocationModel
 
 #: Enumeration is refused beyond this width (bitmask cap).
 MAX_N = 24
+#: Hinge lists and layer graphs are refused beyond this many hinges (about
+#: 1 GiB at 0.5 kB a hinge).
+MAX_HINGES = 2_000_000
 
 KIND_EXTREMAL_POS = "extremal-positive"
 KIND_EXTREMAL_NEG = "extremal-negative"
@@ -143,9 +148,18 @@ def reciprocal_hinges(model: AllocationModel, l: int) -> list[StratumDescriptor]
     Each hinge joins two same-layer signatures differing in exactly one entry
     index (dropped) and one exit index (acquired), listed once, from its side
     that entered i < j.  The extremal layers 0 and n, one orthant each, have
-    none.
+    none.  A layer of more than MAX_HINGES hinges is refused (ValueError).
     """
+    _check_hinge_count(model.n, l)
     return _hinges(model.n, enumerate_layer(model, l))
+
+
+def _check_hinge_count(n: int, l: int) -> None:
+    """ValueError when layer l of n actuators has more than MAX_HINGES hinges."""
+    if 0 <= l <= n and hinge_count(n, l) > MAX_HINGES:
+        raise ValueError(f"layer {l} of n = {n} has {hinge_count(n, l)} "
+                         f"reciprocal hinges, more than the cap of "
+                         f"MAX_HINGES = {MAX_HINGES}")
 
 
 def _hinges(n: int, layer: list[OrthantSignature]) -> list[StratumDescriptor]:
@@ -162,8 +176,10 @@ def layer_adjacency_graph(model: AllocationModel, l: int) -> dict:
     """Graph of layer-l orthants (nodes) joined by reciprocal hinges (edges).
 
     Returns ``{"nodes": [...], "edges": [...], "connected": bool}`` with nodes
-    as OrthantSignature and edges as StratumDescriptor.
+    as OrthantSignature and edges as StratumDescriptor.  A layer of more than
+    MAX_HINGES hinges is refused (ValueError).
     """
+    _check_hinge_count(model.n, l)
     nodes = enumerate_layer(model, l)
     edges = _hinges(model.n, nodes)
     adj = {sig.mask: [] for sig in nodes}

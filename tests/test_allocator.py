@@ -392,6 +392,22 @@ class TestLiftTrajectory:
             lift = lift_trajectory(m3, t, W, allocator, layer)
             assert lift.max_speed == pytest.approx(0.0, abs=1e-9)
 
+    def test_row_statistics_are_the_row_reductions(self, m3):
+        # speed and min_abs_v are taken column by column; the references
+        # reduce each row, which numpy sums pairwise from 8 columns on
+        m70 = model_with_b(np.linspace(1.0, 2.0, 70) * (-1.0) ** np.arange(70))
+        t = np.cumsum(np.random.default_rng(8).uniform(0.1, 1.0, 200))
+        for m, allocator in ((m3, "extremal"), (m3, "naive"), (m70, "naive")):
+            W = np.outer(np.sin(t), np.ones(m.m)) + np.cos(3.0 * t)[:, None]
+            lift = lift_trajectory(m, t, W, allocator)
+            speed = np.linalg.norm(np.diff(lift.v, axis=0), axis=1) / np.diff(t)
+            assert lift.speed[0] == 0.0
+            np.testing.assert_allclose(lift.speed[1:], speed,
+                                       rtol=4 * m.n * np.finfo(float).eps)
+            if m.n < 8:
+                assert np.array_equal(lift.speed[1:], speed)
+            assert np.array_equal(lift.min_abs_v, np.min(np.abs(lift.v), axis=1))
+
     def test_mismatched_shape_is_refused(self, m3):
         t = np.linspace(0.0, 1.0, 5)
         W = np.ones((5, 2))

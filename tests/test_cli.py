@@ -344,6 +344,17 @@ class TestStrata:
         assert dot.startswith("graph")
         assert "3 orthants" in capsys.readouterr().out
 
+    def test_layer_beyond_the_hinge_cap_is_validation_error(
+            self, model_file, tmp_path, capsys, monkeypatch):
+        # layer 1 of the 2 x 3 model has 3 hinges
+        monkeypatch.setattr(import_module("fiberalloc.strata"), "MAX_HINGES", 2)
+        rc = main(["strata", "--model", model_file, "--out",
+                   str(tmp_path / "strata"), "--layer", "1"])
+        assert rc == 1
+        assert ("validation error: layer 1 of n = 3 has 3 reciprocal hinges, "
+                "more than the cap of MAX_HINGES = 2") in capsys.readouterr().err
+        assert not (tmp_path / "strata").exists()
+
     @pytest.mark.parametrize("layer", ["0", "3"])
     def test_extremal_layer_is_one_orthant(self, model_file, tmp_path, capsys,
                                            layer):
@@ -518,6 +529,18 @@ class TestLift:
             capsys.readouterr().err
         assert not (tmp_path / "lift").exists()
 
+    def test_unreadable_row_names_the_trajectory_file(self, model2_file,
+                                                      tmp_path, capsys):
+        traj = tmp_path / "ragged.csv"
+        traj.write_text("t,w_1\n0.0,1.0\n0.5\n")
+        rc = main(["lift", "--model", model2_file, "--trajectory", str(traj),
+                   "--out", str(tmp_path / "lift")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {traj}: " in err
+        assert "number of columns changed" in err
+        assert not (tmp_path / "lift").exists()
+
     def test_confinement_violation_is_solver_error(self, model2_file, tmp_path,
                                                    capsys, monkeypatch):
         def flipping(model, W, layer, C, t=None):
@@ -625,6 +648,31 @@ class TestCsvHelper:
         assert helpers == [None]
         assert (out / "lift_extremal.csv").read_bytes() == \
             (ref / "lift_extremal.csv").read_bytes()
+
+    def test_helper_of_a_failed_lift_is_reaped(self, model2_file, tmp_path,
+                                               monkeypatch, capsys, helpers):
+        # the lift starts its helper before the solve; a sample the solve
+        # refuses kills it, and main reaps it and closes its pipes
+        traj = Path(write_trajectory(tmp_path))
+        lines = traj.read_text().splitlines(keepends=True)
+        lines[1 + 400] = lines[1 + 400].split(",")[0] + ",nan\r\n"
+        traj.write_text("".join(lines))
+        started_before_solve = []
+
+        def lift(*args):
+            started_before_solve.append(len(helpers))
+            return lift_trajectory(*args)
+        lift_trajectory = cli.lift_trajectory
+        monkeypatch.setattr(cli, "lift_trajectory", lift)
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        rc = main(["lift", "--model", model2_file, "--trajectory", str(traj),
+                   "--out", str(tmp_path / "lift")])
+        assert rc == 2
+        assert "sample 400" in capsys.readouterr().err
+        assert started_before_solve == [1]
+        (helper,) = helpers
+        assert helper.returncode is not None
+        assert helper.stdin.closed and helper.stdout.closed
 
 
 #: argv that exit inside argparse, with help, a version or a usage error

@@ -233,6 +233,22 @@ class TestAdjacencyGraph:
                 assert len(g["edges"]) == hinge_count(n, l)
                 assert g["connected"]
 
+    def test_layers_beyond_the_hinge_cap_are_refused(self, monkeypatch):
+        m = random_model(np.random.default_rng(17), 5)
+        monkeypatch.setattr(strata, "MAX_HINGES", 10)
+        assert len(reciprocal_hinges(m, 1)) == hinge_count(5, 1) == 10
+        assert len(layer_adjacency_graph(m, 4)["edges"]) == 10
+        for build in (reciprocal_hinges, layer_adjacency_graph):
+            with pytest.raises(ValueError, match="layer 2 of n = 5 has 30 "
+                               "reciprocal hinges, more than the cap of "
+                               "MAX_HINGES = 10"):
+                build(m, 2)
+
+    def test_the_hinge_cap_admits_every_layer_up_to_n18(self):
+        assert max(hinge_count(18, l) for l in range(19)) == 1_969_110
+        assert max(hinge_count(18, l) for l in range(19)) <= strata.MAX_HINGES
+        assert max(hinge_count(19, l) for l in range(20)) > strata.MAX_HINGES
+
     def test_builds_each_signature_once(self, monkeypatch):
         # each hinge partner is one of the layer's enumerated nodes
         built = []
