@@ -1,15 +1,21 @@
 """CSV row formatting, shared by ``cli._write_csv`` and its helper process.
 
 The module uses the standard library only, so that it also runs as a script
-in a bare interpreter (``python -I -S _csvrows.py``), which starts without
-numpy and without ``site``.  As a script it reads from stdin, a pipe that
-the parent fills once its rows are computed (it may start the helper
-earlier), one JSON header line ``{"formats": [...], "cols": k, "chunk": c,
-"encoding": e}``, then the int64 row-format index of each row, then the
-float64 values of the rows, k a row, both in native byte order, up to the end
-of the input.  It writes the formatted rows to stdout in the encoding e.
+in a bare interpreter (``python -I -S _csvrows.py FD CHUNK ENCODING``), which
+starts without numpy and without ``site``.  As a script it formats frames of
+rows, CHUNK rows at a time.  The parent writes each frame to the file open as
+descriptor FD, after the frames before it, and then announces it with one
+line on stdin, its size in bytes.  A frame is one JSON line ``{"rows": r,
+"cols": k, "formats": [...]}``, then the int64 format key of each of its r
+rows, then the float64 values of the rows, k a row, both in native byte
+order.  Key j is the j-th row format sent: ``formats`` lists those that are
+new in the frame, and a format serves every frame after it too.  At the end
+of stdin the script writes the text of every frame, in order and in the
+encoding ENCODING, to stdout.  A frame that is shorter than announced, or
+whose size is not that of its rows, ends the script with an error.
 """
 import json
+import os
 import sys
 
 
@@ -26,21 +32,29 @@ def format_rows(formats, keys, values, cols, chunk):
 
 
 def main() -> None:
-    stdin = sys.stdin.buffer
-    header = json.loads(stdin.readline())
-    data = memoryview(stdin.read())
-    cols = header["cols"]
-    rows, extra = divmod(len(data), 8 * (1 + cols))
-    if extra:
-        raise ValueError(f"input of {len(data)} bytes is not whole rows")
-    keys, values = data[:8 * rows].cast("q"), data[8 * rows:].cast("d")
-    # every chunk is formatted before the first is written: the parent reads
-    # stdout only when its own rows are done
-    text = list(format_rows(header["formats"], keys, values, cols,
-                            header["chunk"]))
+    fd, chunk, encoding = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+    formats, text, offset = [], [], 0
+    for line in sys.stdin.buffer:
+        size = int(line)
+        # pread leaves alone the file position, which the parent shares
+        data = os.pread(fd, size, offset)
+        offset += size
+        if len(data) != size:
+            raise ValueError(f"frame of {len(data)} bytes, announced {size}")
+        start = data.index(b"\n") + 1
+        header = json.loads(data[:start])
+        formats += header["formats"]
+        rows, cols = header["rows"], header["cols"]
+        if size - start != 8 * rows * (1 + cols):
+            raise ValueError(f"frame of {rows} rows has {size - start} bytes")
+        frame = memoryview(data)
+        keys = frame[start:start + 8 * rows].cast("q")
+        values = frame[start + 8 * rows:].cast("d")
+        # formatted as the frames come, written when the parent asks for them
+        text += [part.encode(encoding)
+                 for part in format_rows(formats, keys, values, cols, chunk)]
     out = sys.stdout.buffer
-    for part in text:
-        out.write(part.encode(header["encoding"]))
+    out.writelines(text)
     out.flush()
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfinementError, WrongShapeError
+from .fibers import _rowwise_matvec
 from .model import AllocationModel, untransform
 from .section import SectionPoint, layer_point, solve_rows
 from .strata import extremal_signature, orthant_masks
@@ -97,15 +98,22 @@ def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
 
     This is the lambda = 0 fiber point, of one task or of each task row of w.
     It crosses coordinate hyperplanes as w varies, with an
-    inverse-square-root derivative blow-up at each crossing.
+    inverse-square-root derivative blow-up at each crossing.  Each row is
+    summed on its own (fibers._rowwise_matvec), so it is bit-identical in
+    every batch, as the section solver's rows are.
     """
-    return untransform(np.atleast_1d(np.asarray(w, dtype=float)) @ model.A_pinv.T)
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    W = np.ascontiguousarray(np.atleast_2d(w))
+    return untransform(_rowwise_matvec(W, model.A_pinv)).reshape(
+        w.shape[:-1] + (model.n,))
 
 
 def _allocate(model: AllocationModel, W: np.ndarray, allocator: str,
-              layer: int | None, C: float, t=None) -> np.ndarray:
+              layer: int | None, C: float, t=None,
+              first_row: int = 0) -> np.ndarray:
     """States of the task rows W under ``allocator``, as lift_trajectory
-    says; a solve error names row k as a sample at ``t[k]`` given ``t``."""
+    says; a solve error names row k as sample ``first_row`` + k at ``t[k]``
+    given ``t``."""
     if allocator == "naive":
         if layer is not None or C != 0.0:
             raise ValueError("the naive allocator takes no layer and no C")
@@ -116,7 +124,56 @@ def _allocate(model: AllocationModel, W: np.ndarray, allocator: str,
     if allocator == "extremal" and layer not in (0, model.n):
         raise ValueError(f"the extremal allocator solves on layer 0 or "
                          f"{model.n}, not on layer {layer}")
-    return solve_rows(model, W, layer, C, t=t)[0]
+    return solve_rows(model, W, layer, C, t=t, first_row=first_row)[0]
+
+
+def lift_block(model: AllocationModel, t, w_samples, allocator: str,
+               layer: int | None = None, C: float = 0.0, first_row: int = 0,
+               before=None):
+    """The lift of :func:`lift_trajectory` for the consecutive samples
+    ``first_row``, ``first_row + 1``, ... of a trajectory, as arrays ``(v,
+    speed, min_abs_v, masks)``.
+
+    ``before`` is ``(t, v)`` of sample ``first_row - 1``, which gives the
+    first sample its time step, speed and change of orthant; None for the
+    trajectory's first sample, whose speed is 0.  The lift of a trajectory in
+    consecutive blocks is that of the whole, bit for bit: the solvers solve a
+    row alike in every batch, and speed is elementwise.  Errors are those of
+    lift_trajectory, in its order, and name a sample by its index in the
+    trajectory.
+    """
+    t = np.asarray(t, dtype=float)
+    w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))
+    if w_samples.shape != (t.shape[0], model.m):
+        raise WrongShapeError(f"w_samples has shape {w_samples.shape}, t has "
+                              f"shape {t.shape}: expected {(t.shape[0], model.m)}")
+    # the time stamps and, once solved, the states padded with ``before``
+    pad = 0 if before is None else 1
+    tp = t if before is None else np.r_[before[0], t]
+    ok = np.isfinite(tp)
+    ok[1:] &= tp[1:] > tp[:-1]
+    bad = np.flatnonzero(~ok[pad:])
+    if bad.size:
+        raise ValueError("time stamps must be finite and strictly increasing: "
+                         f"sample {first_row + bad[0]} has t = {t[bad[0]]:g}")
+    vs = _allocate(model, w_samples, allocator, layer, C, t=t,
+                   first_row=first_row)
+    vp = vs if before is None else np.vstack([before[1], vs])
+
+    # ||dv|| and min|v_i| column by column: numpy reduces along a short row
+    # axis several times slower
+    speed, min_abs_v = np.zeros(tp.shape[0]), np.abs(vs[:, 0])
+    for v in vp.T:
+        dv = np.diff(v)
+        speed[1:] += dv * dv
+    for v in vs.T:
+        np.minimum(min_abs_v, np.abs(v), out=min_abs_v)
+    speed[1:] = np.sqrt(speed[1:]) / np.diff(tp)
+    masks = orthant_masks(vp)
+    changed = np.flatnonzero(np.diff(masks))
+    if allocator == "extremal" and changed.size:
+        raise ConfinementError(first_row - pad + int(changed[0]) + 1)
+    return vs, speed[pad:], min_abs_v, masks[pad:]
 
 
 def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
@@ -130,31 +187,13 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     'extremal' on layer 0 or n only (ValueError otherwise), and an error names
     the sample and its time.  'naive' takes neither a layer nor a nonzero C
     (ValueError).  An extremal lift that leaves its orthant raises
-    ConfinementError.
+    ConfinementError.  The lift of a trajectory in blocks is
+    :func:`lift_block`.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))
-    if w_samples.shape != (t.shape[0], model.m):
-        raise WrongShapeError(f"w_samples has shape {w_samples.shape}, t has "
-                              f"shape {t.shape}: expected {(t.shape[0], model.m)}")
-    bad = np.flatnonzero(~(np.isfinite(t) & np.r_[True, t[1:] > t[:-1]]))
-    if bad.size:
-        raise ValueError("time stamps must be finite and strictly increasing: "
-                         f"sample {bad[0]} has t = {t[bad[0]]:g}")
-    vs = _allocate(model, w_samples, allocator, layer, C, t=t)
-
-    # ||dv|| and min|v_i| column by column: numpy reduces along a short row
-    # axis several times slower
-    speed, min_abs_v = np.zeros(t.shape[0]), np.abs(vs[:, 0])
-    for v in vs.T:
-        dv = np.diff(v)
-        speed[1:] += dv * dv
-        np.minimum(min_abs_v, np.abs(v), out=min_abs_v)
-    speed[1:] = np.sqrt(speed[1:]) / np.diff(t)
-    masks = orthant_masks(vs)
-    changed = np.flatnonzero(np.diff(masks))
-    if allocator == "extremal" and changed.size:
-        raise ConfinementError(int(changed[0]) + 1)
+    vs, speed, min_abs_v, masks = lift_block(model, t, w_samples, allocator,
+                                             layer, C)
     return LiftedTrajectory(
         allocator=allocator, t=t, w=w_samples, v=vs, speed=speed,
         min_abs_v=min_abs_v, masks=masks)

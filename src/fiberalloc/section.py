@@ -236,17 +236,18 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
                      status: np.ndarray, first_row: int = 0, t=None) -> None:
     """Raise the typed error of the first row of W whose status is not SOLVED.
 
-    It names the row ``first_row`` + its index in W, a lifted sample at time
-    ``t[row]`` when ``t`` is given: OriginExcludedError for a REFUSED zero
-    task, NonGenericSegmentError for another REFUSED row, else
-    SectionSolveError (ExtremalSolveError on layers 0 and n), whose reason
-    names a non-finite task, overflowed crossings or an unrepresentable state.
+    It names the row ``first_row`` + its index k in W, a lifted sample at
+    time ``t[k]`` when ``t``, the times of W's rows, is given:
+    OriginExcludedError for a REFUSED zero task, NonGenericSegmentError for
+    another REFUSED row, else SectionSolveError (ExtremalSolveError on layers
+    0 and n), whose reason names a non-finite task, overflowed crossings or
+    an unrepresentable state.
     """
     if not status.any():   # SOLVED is 0
         return
     k = int(np.flatnonzero(status)[0])
     row = first_row + k
-    t_row = None if t is None else float(t[row])
+    t_row = None if t is None else float(t[k])
     if status[k] == REFUSED:
         where = row_label(row, t_row)
         if not np.any(W[k]):
@@ -273,19 +274,21 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
 
 
 def solve_rows(model: AllocationModel, W, layer: int, C: float,
-               t=None) -> tuple[np.ndarray, np.ndarray]:
+               t=None, first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """States and fiber parameters ``(V, lam)`` of the task rows W on the leaf
     C in a layer-``layer`` orthant, solved by :func:`layer_section`
     SOLVE_CHUNK_ROWS rows at a time (bounding the working memory).  The first
-    row it cannot solve raises its typed error (:func:`raise_for_status`),
-    named as a sample at time ``t[row]`` when ``t`` is given.
+    row k it cannot solve raises its typed error (:func:`raise_for_status`),
+    named row ``first_row`` + k, or a sample at time ``t[k]`` when ``t`` is
+    given: W's rows may be a block of a longer batch.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     V, lam = np.empty((W.shape[0], model.n)), np.empty(W.shape[0])
     for lo in range(0, W.shape[0], SOLVE_CHUNK_ROWS):
         rows = slice(lo, lo + SOLVE_CHUNK_ROWS)
         V[rows], lam[rows], status = layer_section(model, W[rows], layer, C)
-        raise_for_status(model, W[rows], layer, status, first_row=lo, t=t)
+        raise_for_status(model, W[rows], layer, status, first_row + lo,
+                         None if t is None else t[rows])
     return V, lam
 
 

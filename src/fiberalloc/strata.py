@@ -10,6 +10,11 @@ layer's adjacency graph took 3 ms at n = 10, 16 ms at n = 12 and 83 ms at
 n = 14 (timeit minima on a 2-vCPU AMD EPYC), about 5x per two more actuators.
 A hinge takes about 0.5 kB, so layers of more than MAX_HINGES hinges are
 refused: every layer up to n = 18 (1 969 110 hinges in its middle layer) fits.
+A signature takes about 1.8 kB (tracemalloc peak of the middle layer at
+n = 16 and 18), so layers of more than MAX_ORTHANTS orthants are not
+enumerated: every layer up to n = 21 (352 716 orthants in its middle layers)
+fits, and the middle layer at n = 24 (2 704 156 orthants, about 4.8 GB) does
+not.
 """
 from __future__ import annotations
 
@@ -27,6 +32,9 @@ MAX_N = 24
 #: Hinge lists and layer graphs are refused beyond this many hinges (about
 #: 1 GiB at 0.5 kB a hinge).
 MAX_HINGES = 2_000_000
+#: Layers are not enumerated beyond this many orthants (about 1 GiB at 1.8 kB
+#: a signature).
+MAX_ORTHANTS = 600_000
 
 KIND_EXTREMAL_POS = "extremal-positive"
 KIND_EXTREMAL_NEG = "extremal-negative"
@@ -108,12 +116,16 @@ def extremal_signature(model: AllocationModel, branch: str = "positive") -> Orth
 
 
 def enumerate_layer(model: AllocationModel, l: int) -> list[OrthantSignature]:
-    """All C(n, l) signatures with exactly l entry faces."""
+    """All C(n, l) signatures with exactly l entry faces; a layer of more
+    than MAX_ORTHANTS orthants is refused (ValueError) before any is built."""
     n = model.n
     if n > MAX_N:
         raise ValueError(f"orthant enumeration capped at n = {MAX_N}")
     if not 0 <= l <= n:
         raise ValueError(f"layer must lie in [0, {n}], got {l}")
+    if comb(n, l) > MAX_ORTHANTS:
+        raise ValueError(f"layer {l} of n = {n} has {comb(n, l)} orthants, "
+                         f"more than the cap of MAX_ORTHANTS = {MAX_ORTHANTS}")
     layer0 = int(orthant_masks(-model.b[None, :])[0])   # sign(v) = -sign(b)
     return [signature_from_mask(model, layer0 ^ sum(1 << i for i in entry))
             for entry in combinations(range(n), l)]

@@ -25,6 +25,7 @@ from fiberalloc import (
     smoothness_probe,
 )
 import fiberalloc.allocator as allocator_module
+from fiberalloc.allocator import lift_block
 from fiberalloc import section
 from fiberalloc.section import OUT_OF_RANGE, SOLVED
 from conftest import assert_on_leaf, log_potential, model_with_b, random_model
@@ -426,7 +427,7 @@ class TestLiftTrajectory:
                 lift_trajectory(m2, t, W, allocator)
 
     def test_confinement_violation_is_typed(self, m2, monkeypatch):
-        def flipping(model, W, layer, C, t=None):
+        def flipping(model, W, layer, C, t=None, first_row=0):
             V = np.tile(model.c, (len(W), 1))
             V[3:] *= -1.0
             return V, np.zeros(len(W))
@@ -483,6 +484,59 @@ class TestLiftTrajectory:
         with pytest.raises(OriginExcludedError) as exc:
             lift_trajectory(m2, t, t[:, None], "section", 1)
         assert any("sample 10" in str(arg) for arg in exc.value.args)
+
+
+
+class TestLiftBlock:
+    """A trajectory lifted in consecutive blocks, each after the sample
+    before it, is the trajectory lifted whole, bit for bit."""
+
+    @staticmethod
+    def in_blocks(m, t, W, allocator, layer, bounds):
+        parts, before = [], None
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            v, speed, min_abs_v, masks = lift_block(
+                m, t[lo:hi], W[lo:hi], allocator, layer, first_row=lo,
+                before=before)
+            parts.append((v, speed, min_abs_v, masks))
+            before = t[hi - 1], v[-1]
+        return [np.concatenate(column) for column in zip(*parts)]
+
+    @pytest.mark.parametrize("allocator, layer", [
+        ("extremal", None), ("extremal", 0), ("section", 1), ("naive", None)])
+    def test_blocks_are_the_whole(self, m3, allocator, layer):
+        t = np.cumsum(np.random.default_rng(9).uniform(0.01, 0.1, 300))
+        W = np.c_[np.sin(t), np.cos(2.0 * t)] * 3.0 + 0.1
+        whole = lift_trajectory(m3, t, W, allocator, layer)
+        for bounds in ([0, 1, 2, 300], [0, 97, 98, 250, 300]):
+            v, speed, min_abs_v, masks = self.in_blocks(m3, t, W, allocator,
+                                                        layer, bounds)
+            assert np.array_equal(v, whole.v)
+            assert np.array_equal(speed, whole.speed)
+            assert np.array_equal(min_abs_v, whole.min_abs_v)
+            assert np.array_equal(masks, whole.masks)
+        if allocator == "naive":   # the flips lie inside and across blocks
+            assert whole.signature_changes >= 2
+
+    def test_errors_name_the_trajectory_sample(self, m3):
+        t = np.linspace(0.0, 1.0, 10)
+        W = np.tile([1.0, 0.5], (10, 1))
+        before = t[4], extremal_inverse(m3, W[4])
+        W_bad = W.copy()
+        W_bad[7, 1] = np.nan
+        with pytest.raises(SectionSolveError, match=r"sample 7 \(t = ") as exc:
+            lift_block(m3, t[5:], W_bad[5:], "extremal", first_row=5,
+                       before=before)
+        assert exc.value.t == t[7]
+        # the first sample's time step is taken from the sample before it
+        with pytest.raises(ValueError, match="sample 5 has t = 0.4444"):
+            lift_block(m3, t[4:], W[4:], "extremal", first_row=5,
+                       before=before)
+        # and so is its orthant: -v is not in the extremal orthant
+        with pytest.raises(ConfinementError, match="sample 5;") as exc:
+            lift_block(m3, t[5:], W[5:], "extremal", first_row=5,
+                       before=(t[4], -before[1]))
+        assert exc.value.sample == 5
 
 
 class TestSmoothnessProbe:

@@ -3,9 +3,13 @@ import csv
 import io
 import json
 import os
+import signal
+import struct
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
 
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 from fiberalloc import (build_model, classify_orthant, crossing_parameters,
-                        errors, fiber_point)
+                        errors, extremal_signature, fiber_point)
 from fiberalloc.errors import (ConfinementError, DegenerateRedundancyError,
                                FiberAllocError, RankDeficientError,
                                SectionSolveError, WrongShapeError)
@@ -410,6 +414,15 @@ class TestInvert:
             docs.append(json.loads(capsys.readouterr().out))
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("branch", ["positive", "negative"])
+    def test_branch_layer_is_the_extremal_signatures(self, branch):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 6):
+            model = build_model(rng.normal(size=(n - 1, n)))
+            args = argparse.Namespace(branch=branch, layer=None)
+            assert cli._layer(model, args) == \
+                extremal_signature(model, branch).layer
+
     def test_transitional_origin_is_solver_error(self, model2_file, capsys):
         rc = main(["invert", "--model", model2_file, "--w", "0.0",
                    "--layer", "1"])
@@ -543,7 +556,7 @@ class TestLift:
 
     def test_confinement_violation_is_solver_error(self, model2_file, tmp_path,
                                                    capsys, monkeypatch):
-        def flipping(model, W, layer, C, t=None):
+        def flipping(model, W, layer, C, t=None, first_row=0):
             V = np.tile(model.c, (len(W), 1))
             V[10:] *= -1.0
             return V, np.zeros(len(W))
@@ -556,14 +569,15 @@ class TestLift:
 
 
 class TestCsvHelper:
-    """From HELPER_ROWS rows on, with more than one CPU, the second half of a
-    CSV is formatted by a helper process; the bytes are those written in
+    """From HELPER_ROWS rows on, with more than one CPU, a helper process
+    formats part of a CSV: the second half of a fibers or foliation table,
+    the rows after the head of a lift.  The bytes are those written in
     process."""
 
     @pytest.fixture()
     def helpers(self, monkeypatch):
-        """The helpers started, with HELPER_ROWS at 100, chunks of 64 rows
-        and two CPUs."""
+        """The helpers started, with HELPER_ROWS at 100, chunks and lift
+        blocks of 64 rows and two CPUs."""
         started, start = [], cli._start_helper
 
         def spy(*args):
@@ -571,6 +585,7 @@ class TestCsvHelper:
             return started[-1]
         monkeypatch.setattr(cli, "_start_helper", spy)
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 64)
+        monkeypatch.setattr(cli, "LIFT_BLOCK_ROWS", 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         return started
@@ -585,7 +600,7 @@ class TestCsvHelper:
     @pytest.mark.parametrize("allocator", ["extremal", "section", "naive"])
     def test_lift(self, model2_file, tmp_path, monkeypatch, helpers,
                   allocator):
-        # 501 rows: the halves are 250 and 251 rows, neither whole chunks
+        # 501 rows: a head of 156 rows, then 6 frames, the last of 25 rows
         flags = ["--allocator", allocator]
         ref = self.lift(model2_file, tmp_path, "ref", *flags)
         assert helpers == []
@@ -673,6 +688,210 @@ class TestCsvHelper:
         (helper,) = helpers
         assert helper.returncode is not None
         assert helper.stdin.closed and helper.stdout.closed
+
+    def fail_both_ways(self, model_file, tmp_path, monkeypatch, capsys,
+                       helpers, traj, *flags):
+        """The frames a pipelined lift of ``traj`` sent before it failed.
+
+        It fails as the lift in process alone (one CPU) does: the same exit
+        code and error text, and no file.  Its helper is killed and reaped.
+        """
+        fed, feed = [], cli._feed_helper
+
+        def spy(helper, formats, masks, values):
+            fed.append(len(values))
+            feed(helper, formats, masks, values)
+        monkeypatch.setattr(cli, "_feed_helper", spy)
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        runs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            out = tmp_path / f"cpus{len(cpus)}"
+            rc = main(["lift", "--model", model_file, "--trajectory",
+                       str(traj), "--out", str(out), *flags])
+            runs.append((rc, capsys.readouterr().err))
+            assert not out.exists()
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (1, 2)
+        (helper,) = helpers
+        assert helper.returncode == -signal.SIGKILL
+        assert helper.stdin.closed and helper.stdout.closed
+        return fed, runs[0][1]
+
+    def edited_trajectory(self, tmp_path, edit):
+        """write_trajectory's file with ``edit(k, t, w)`` (a line's text or
+        None) in place of each sample line."""
+        traj = Path(write_trajectory(tmp_path))
+        lines = traj.read_text().splitlines(keepends=True)
+        for k, line in enumerate(lines[1:]):
+            text = edit(k, *line.strip().split(","))
+            if text is not None:
+                lines[1 + k] = text + "\r\n"
+        traj.write_text("".join(lines))
+        return traj
+
+    def test_ragged_row_in_the_tail(self, model2_file, tmp_path, monkeypatch,
+                                    capsys, helpers):
+        traj = self.edited_trajectory(
+            tmp_path, lambda k, t, w: t if k == 400 else None)
+        fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
+                                       capsys, helpers, traj)
+        assert fed   # the tail before the ragged row went to the helper
+        assert err.startswith(f"validation error: {traj}: ")
+        assert "number of columns changed" in err
+
+    def test_non_increasing_time_in_the_tail(self, model2_file, tmp_path,
+                                             monkeypatch, capsys, helpers):
+        times = np.linspace(0.0, 2 * np.pi, 501)
+        traj = self.edited_trajectory(
+            tmp_path,
+            lambda k, t, w: f"{times[399]:.17g},{w}" if k == 400 else None)
+        fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
+                                       capsys, helpers, traj)
+        assert fed
+        assert err == ("validation error: time stamps must be finite and "
+                       "strictly increasing: sample 400 has "
+                       f"t = {times[399]:g}\n")
+
+    def test_solve_failures_in_the_head_and_the_tail(
+            self, model2_file, tmp_path, monkeypatch, capsys, helpers):
+        # the pipelined lift meets sample 400's failure first, but sample 50
+        # is the first in sample order, and it is the one reported
+        traj = self.edited_trajectory(
+            tmp_path, lambda k, t, w: f"{t},nan" if k in (50, 400) else None)
+        fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
+                                       capsys, helpers, traj)
+        assert fed
+        assert err.startswith("solver error: ") and "sample 50 (t = " in err
+
+    @pytest.fixture()
+    def head_flips(self, monkeypatch):
+        """The sample after the lift's head, where a solve that flips the
+        state of every later sample puts the lift's one orthant change.  A
+        pipelined lift solves the head's last sample first, and alone."""
+        boundary = []
+
+        def flipping(model, W, layer, C, t=None, first_row=0):
+            if not boundary:
+                assert len(W) == 1
+                boundary.append(first_row + 1)
+            V = np.tile(model.c, (len(W), 1))
+            V[first_row + np.arange(len(W)) >= boundary[0]] *= -1.0
+            return V, np.zeros(len(W))
+        monkeypatch.setattr(import_module("fiberalloc.allocator"),
+                            "solve_rows", flipping)
+        return boundary
+
+    def test_orthant_change_at_the_head_is_a_confinement_error(
+            self, model2_file, tmp_path, monkeypatch, capsys, helpers,
+            head_flips):
+        fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
+                                       capsys, helpers,
+                                       write_trajectory(tmp_path))
+        assert fed == []   # the first block after the head fails
+        (boundary,) = head_flips
+        assert 100 < boundary < 300
+        assert err == (f"solver error: extremal lift changed orthant signature "
+                       f"at sample {boundary}; confinement violated\n")
+
+    def test_orthant_change_at_the_head_is_counted(
+            self, model2_file, tmp_path, monkeypatch, helpers, head_flips):
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        out = self.lift(model2_file, tmp_path, "out", "--allocator", "section")
+        assert [h.returncode for h in helpers] == [0]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        ref = self.lift(model2_file, tmp_path, "ref", "--allocator", "section")
+        assert len(helpers) == 1
+        summary = json.loads((out / "lift_section.json").read_text())
+        assert summary["signature_changes"] == 1
+        for name in ("lift_section.csv", "lift_section.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+class TestHelperFrames:
+    """The helper formats the frames it is sent as the rows are formatted in
+    process, and a frame it cannot read ends it with an error that the CSV
+    write reports."""
+
+    HEADER = ["a", "b", "c", "d", "orthant"]
+
+    @pytest.fixture()
+    def helper(self, monkeypatch):
+        """A helper with chunks of 8 rows, started in the test's call (so
+        that capfd has its stderr)."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 8)
+
+        @contextmanager
+        def started():
+            helper = cli._start_helper()
+            with helper.frames, helper:
+                yield helper
+        return started
+
+    def test_wire_format(self):
+        # a chunk of 2 rows, a zero-row frame, and a table that grows: key 1
+        # is the second format sent, in the third frame
+        frames = [({"rows": 3, "cols": 2, "formats": ["%.17g,%.17g,a\r\n"]},
+                   [0, 0, 0], [1.0, 2.0, 3.0, 4.0, 0.5, -0.0]),
+                  ({"rows": 0, "cols": 2, "formats": []}, [], []),
+                  ({"rows": 2, "cols": 2, "formats": ["%.17g;%.17g,b\r\n"]},
+                   [1, 0], [1e300, np.inf, np.nan, 5e-324])]
+        with tempfile.TemporaryFile() as fh:
+            sizes = []
+            for header, keys, values in frames:
+                data = (json.dumps(header).encode() + b"\n"
+                        + struct.pack(f"{len(keys)}q", *keys)
+                        + struct.pack(f"{len(values)}d", *values))
+                sizes.append(b"%d\n" % fh.write(data))
+            fh.flush()
+            proc = subprocess.run(
+                [sys.executable, "-I", "-S", str(cli._HELPER),
+                 str(fh.fileno()), "2", "ascii"], input=b"".join(sizes),
+                capture_output=True, pass_fds=(fh.fileno(),), check=True)
+        assert proc.stdout == (b"1,2,a\r\n3,4,a\r\n0.5,-0,a\r\n"
+                               b"1.0000000000000001e+300;inf,b\r\n"
+                               b"nan,4.9406564584124654e-324,a\r\n")
+
+    def test_frames_are_the_rows_in_process(self, tmp_path, helper):
+        # several frames, one of no rows, and masks first seen in later ones
+        model = build_model([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        values = np.random.default_rng(5).normal(size=(90, 4))
+        masks = orthant_masks(values[:, :3])
+        masks[:20] = masks[0]
+        formats, known = {}, []
+        with helper() as h:
+            for lo, hi in ((0, 20), (20, 20), (20, 21), (21, 90)):
+                cli._add_row_formats(formats, model, 4, None, masks[lo:hi])
+                cli._feed_helper(h, formats, masks[lo:hi], values[lo:hi])
+                known.append(len(h.keys))
+            cli._write_rows(tmp_path / "out.csv", self.HEADER, 3, formats,
+                            masks[:0], values[:0], h)
+        assert h.returncode == 0
+        assert known[0] == 1
+        assert known[-1] == len(set(masks.tolist())) > known[1]
+        cli._write_csv(tmp_path / "ref.csv", self.HEADER, values, 3, model,
+                       masks)
+        assert (tmp_path / "out.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cut", ["short", "rows"])
+    def test_truncated_frame_is_io_error(self, tmp_path, capfd, helper, cut):
+        # a frame shorter than announced, or than its rows need
+        values, masks = np.ones((3, 2)), np.zeros(3, np.int64)
+        formats = {0: "%.17g,%.17g\r\n"}
+        header = json.dumps({"rows": 3, "cols": 2, "formats": []}).encode()
+        frame = header + b"\n" + masks.tobytes() + values.tobytes()[:-8]
+        with helper() as h, pytest.raises(
+                OSError, match="the CSV row helper exited with code 1"):
+            cli._feed_helper(h, formats, masks, values)
+            h.frames.write(frame)
+            h.frames.flush()
+            h.stdin.write(b"%d\n" % (len(frame) + (cut == "short") * 8))
+            cli._write_rows(tmp_path / "out.csv", ["a", "b"], 0, formats,
+                            masks[:0], values[:0], h)
+        assert "ValueError: frame of " in capfd.readouterr().err
 
 
 #: argv that exit inside argparse, with help, a version or a usage error

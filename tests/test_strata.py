@@ -249,6 +249,24 @@ class TestAdjacencyGraph:
         assert max(hinge_count(18, l) for l in range(19)) <= strata.MAX_HINGES
         assert max(hinge_count(19, l) for l in range(20)) > strata.MAX_HINGES
 
+    def test_layers_beyond_the_orthant_cap_are_refused_at_once(self,
+                                                               monkeypatch):
+        # n = 24's middle layer would take about 4.8 GB of signatures
+        def no_signature(*args):
+            raise AssertionError("a signature was built")
+        m = model_with_b(np.linspace(1.0, 2.0, 24))
+        monkeypatch.setattr(strata, "signature_from_mask", no_signature)
+        with pytest.raises(ValueError, match="layer 12 of n = 24 has 2704156 "
+                           "orthants, more than the cap of MAX_ORTHANTS = "):
+            enumerate_layer(m, 12)
+        assert comb(24, 12) > strata.MAX_ORTHANTS
+
+    def test_the_orthant_cap_admits_every_layer_up_to_n21(self):
+        assert max(comb(21, l) for l in range(22)) <= strata.MAX_ORTHANTS
+        assert max(comb(22, l) for l in range(23)) > strata.MAX_ORTHANTS
+        # every layer the hinge cap admits is enumerated
+        assert max(comb(18, l) for l in range(19)) <= strata.MAX_ORTHANTS
+
     def test_builds_each_signature_once(self, monkeypatch):
         # each hinge partner is one of the layer's enumerated nodes
         built = []
