@@ -85,12 +85,20 @@ def section_inverse(model: AllocationModel, w, layer: int,
     HingeProximity report naming the two smallest components.
     """
     sp = layer_point(model, w, layer, C)
-    absv = np.abs(sp.v)
-    if 0 < layer < model.n and np.min(absv) < HINGE_MARGIN * np.max(absv):
+    return sp, hinge_proximity(model, sp.v, layer)
+
+
+def hinge_proximity(model: AllocationModel, v: np.ndarray,
+                    layer: int) -> HingeProximity | None:
+    """The HingeProximity report of :func:`section_inverse` for its state v
+    on layer ``layer``: the two smallest components of a transitional state
+    with min|v_i| under HINGE_MARGIN * max|v_i|, else None."""
+    absv = np.abs(v)
+    if 0 < layer < model.n and absv.min() < HINGE_MARGIN * absv.max():
         order = np.argsort(absv)
-        return sp, HingeProximity(index_pair=(int(order[0]), int(order[1])),
-                                  min_abs_v=float(absv[order[0]]))
-    return sp, None
+        return HingeProximity(index_pair=(int(order[0]), int(order[1])),
+                              min_abs_v=float(absv[order[0]]))
+    return None
 
 
 def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:

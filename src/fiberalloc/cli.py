@@ -41,14 +41,14 @@ import numpy as np
 
 from . import __version__
 from ._csvrows import format_rows
-from .allocator import lift_block, lift_trajectory, section_inverse
+from .allocator import hinge_proximity, lift_block, lift_trajectory
 from .errors import (DegenerateRedundancyError, FiberAllocError,
                      RankDeficientError, WrongShapeError)
 from .fibers import _on_fiber, crossings
 from .model import (AllocationModel, actuation, load_model, transform,
                     untransform)
 from .potential import phi_sum
-from .section import SOLVED, layer_section
+from .section import SOLVED, layer_section, solve_rows
 from .strata import (
     classify_orthant,
     graph_to_dot,
@@ -217,8 +217,17 @@ def _write_rows(path: Path, header: list[str], seed, formats: dict,
     """Write the CSV of :func:`_write_csv`: the comment line, the header row,
     the rows ``masks``, ``values`` (C-ordered) in the ``formats`` of their
     masks, then the text of every frame sent to ``helper``, unless it is
-    None.  A helper that fails raises OSError."""
+    None.  A helper that fails raises OSError.
+
+    A file already at ``path`` is replaced, not truncated: it is unlinked
+    and a new file made, because a truncated file waits for the writeback
+    of its old bytes on some file systems (hundreds of ms for a 13 MB lift
+    CSV on ext4).  So a hard link to the old file elsewhere keeps the old
+    bytes, a symlink at ``path`` is replaced rather than written through,
+    and the new file gets the default mode.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# fiberalloc {__version__} seed={seed}\n" + ",".join(header)
                  + "\r\n")
@@ -359,14 +368,16 @@ def cmd_invert(args) -> int:
     model = load_model(args.model)
     w = _parse_vector(args.w)
     layer = _layer(model, args)
-    sp, report = section_inverse(model, w, model.n if layer is None else layer,
-                                 args.C)
-    v = sp.v
+    layer = model.n if layer is None else layer
+    # section_inverse's state and report, without the orthant signature that
+    # it builds and invert does not print
+    (v,), _ = solve_rows(model, w[None, :], layer, args.C)
+    report = hinge_proximity(model, v, layer)
     doc = {
-        "w": [float(x) for x in w],
+        "w": w.tolist(),
         "C": args.C,
-        "v": [float(x) for x in v],
-        "actuation_check": [float(x) for x in actuation(model, v)],
+        "v": v.tolist(),
+        "actuation_check": actuation(model, v).tolist(),
         "hinge_proximity": (
             None if report is None else
             {"index_pair": list(report.index_pair),
@@ -583,6 +594,14 @@ def _add_command_args(p: argparse.ArgumentParser, name: str) -> None:
     COMMANDS[name][1](p)
 
 
+def _help_formatter():
+    """argparse's HelpFormatter at the width it would read for itself, read
+    once here: argparse makes a formatter in most add_argument calls, and
+    each one reads the terminal size."""
+    return partial(argparse.HelpFormatter,
+                   width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser with every subcommand, or ``command``'s parser alone.
 
@@ -590,20 +609,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     arguments after the command name into the same namespace, less
     ``command``, and prints the same help and errors.  The full parser serves
     help, --version, a missing or unknown command, and arguments a command
-    does not know.
+    does not know.  Every parser built in one call formats its help at the
+    terminal width read once, at the start of the call.
     """
+    formatter = _help_formatter()
     if command is not None:
-        parser = argparse.ArgumentParser(prog=f"fiberalloc {command}")
+        parser = argparse.ArgumentParser(prog=f"fiberalloc {command}",
+                                         formatter_class=formatter)
         _add_command_args(parser, command)
         return parser
     parser = argparse.ArgumentParser(
         prog="fiberalloc",
         description="Fiber geometry and singularity-free allocation for "
-                    "signed-quadratic actuation maps.")
+                    "signed-quadratic actuation maps.",
+        formatter_class=formatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in COMMANDS.items():
-        _add_command_args(sub.add_parser(name, help=help_text), name)
+        _add_command_args(sub.add_parser(name, help=help_text,
+                                         formatter_class=formatter), name)
     return parser
 
 

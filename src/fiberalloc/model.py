@@ -76,7 +76,7 @@ def build_model(A) -> AllocationModel:
         If any |b_i| <= B_RTOL * max|b| (a structurally critical actuator).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("allocation matrix has non-finite entries")
     m, n = A.shape
     if m < 1 or n != m + 1:
@@ -93,13 +93,14 @@ def build_model(A) -> AllocationModel:
         b = -b
     b = b / np.linalg.norm(b)
 
-    small = np.abs(b) <= B_RTOL * np.max(np.abs(b))
-    if np.any(small):
+    abs_b = np.abs(b)
+    small = abs_b <= B_RTOL * abs_b.max()
+    if small.any():
         i = int(np.argmax(small))
-        raise DegenerateRedundancyError(i, float(abs(b[i])))
+        raise DegenerateRedundancyError(i, float(abs_b[i]))
 
-    A_pinv = Vt[:m].T @ np.diag(1.0 / s[:m]) @ U.T
-    c = np.sign(b) * np.sqrt(np.abs(b))
+    A_pinv = (Vt[:m].T * (1.0 / s[:m])) @ U.T
+    c = np.sign(b) * np.sqrt(abs_b)
     return AllocationModel(A=A.copy(), A_pinv=A_pinv, b=b.copy(), c=c)
 
 

@@ -65,6 +65,15 @@ def model_with_b(b):
     return build_model(Q[:, 1:].T)
 
 
+def known_state(rng, model, layer):
+    """A state in a random layer-``layer`` orthant (``layer`` components with
+    the sign of b), with |v_i| = 10**U(-2, 2)."""
+    entered = np.zeros(model.n, dtype=bool)
+    entered[rng.choice(model.n, size=layer, replace=False)] = True
+    return (np.where(entered, 1.0, -1.0) * np.sign(model.b)
+            * 10.0 ** rng.uniform(-2.0, 2.0, model.n))
+
+
 #: Leaf tolerance of extremal solves: |Phi(v) - C| <= PHI_RTOL * (1 + |C|),
 #: with Phi in log form.  The log-offset solver measured <= 2e-14 on known
 #: states with |v_i| = 10**U(-100, 100), n = 2..8.

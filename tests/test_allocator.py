@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fiberalloc import (
     ConfinementError,
     ExtremalSolveError,
+    HingeProximity,
     NonGenericSegmentError,
     OriginExcludedError,
     SectionSolveError,
@@ -28,7 +29,9 @@ import fiberalloc.allocator as allocator_module
 from fiberalloc.allocator import lift_block
 from fiberalloc import section
 from fiberalloc.section import OUT_OF_RANGE, SOLVED
-from conftest import assert_on_leaf, log_potential, model_with_b, random_model
+from fiberalloc.strata import orthant_masks, signature_from_mask
+from conftest import (assert_on_leaf, known_state, log_potential, model_with_b,
+                      random_model)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,6 +225,37 @@ class TestSectionInverse:
         assert report.min_abs_v < 1e-3
         np.testing.assert_allclose(sp.v, v_near, rtol=1e-6)
 
+
+    @pytest.mark.parametrize("margin", [None, 0.5])
+    def test_signature_and_report_of_every_layer(self, margin, monkeypatch):
+        # the orthant is the one of the state's mask, and the hinge report
+        # is the one of the check written out here; a wide margin reports
+        # most transitional states
+        if margin is not None:
+            monkeypatch.setattr(allocator_module, "HINGE_MARGIN", margin)
+        rng = np.random.default_rng(113)
+        reports = 0
+        for n in range(2, 7):
+            m = random_model(rng, n)
+            for layer in range(n + 1):
+                for _ in range(3):
+                    v = known_state(rng, m, layer)
+                    C = float(log_potential(m, v[None, :])[0])
+                    sp, report = section_inverse(m, actuation(m, v), layer, C)
+                    sig = signature_from_mask(
+                        m, int(orthant_masks(sp.v[None, :])[0]))
+                    assert (sp.orthant, sp.layer) == (sig, layer)
+                    absv = np.abs(sp.v)
+                    if 0 < layer < n and np.min(absv) < \
+                            allocator_module.HINGE_MARGIN * np.max(absv):
+                        order = np.argsort(absv)
+                        assert report == HingeProximity(
+                            (int(order[0]), int(order[1])),
+                            float(absv[order[0]]))
+                        reports += 1
+                    else:
+                        assert report is None
+        assert reports >= (0 if margin is None else 20)
 
     def test_layer_between_crossings_closer_than_eps_gap(self, m3):
         # crossings 1e-9 apart, far outside their noise bound: the trace keeps

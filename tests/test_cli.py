@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -16,15 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberalloc import (build_model, classify_orthant, crossing_parameters,
-                        errors, extremal_signature, fiber_point)
+from fiberalloc import (actuation, allocator, build_model, classify_orthant,
+                        crossing_parameters, errors, extremal_signature,
+                        fiber_point, section, strata)
 from fiberalloc.errors import (ConfinementError, DegenerateRedundancyError,
                                FiberAllocError, RankDeficientError,
                                SectionSolveError, WrongShapeError)
 from fiberalloc.section import SOLVED
 from fiberalloc.strata import orthant_masks
 from fiberalloc.cli import COMMANDS, build_parser, main
-from conftest import assert_on_leaf
+from conftest import assert_on_leaf, known_state, log_potential, random_model
 
 cli = import_module("fiberalloc.cli")
 DATA = Path(__file__).parent / "data"
@@ -423,6 +425,44 @@ class TestInvert:
             assert cli._layer(model, args) == \
                 extremal_signature(model, branch).layer
 
+    @pytest.mark.parametrize("layer", [[], ["--layer=0"], ["--layer=1"],
+                                       ["--layer=3"]],
+                             ids=["default", "0", "1", "n"])
+    def test_solve_builds_no_orthant_signature(self, model_file, capsys,
+                                               monkeypatch, layer):
+        # invert prints no orthant signature, so it builds none
+        def no_signature(*args):
+            raise AssertionError("an orthant signature was built")
+        for module in (section, strata):
+            monkeypatch.setattr(module, "signature_from_mask", no_signature)
+        assert main(["invert", "--model", model_file, "--w=2,1", *layer]) == 0
+        assert json.loads(capsys.readouterr().out)["v"]
+
+    def test_output_is_section_inverse(self, tmp_path, capsys, monkeypatch):
+        # the state and hinge report of section_inverse on every layer of
+        # n = 2..6; a wide hinge margin reports most transitional states
+        monkeypatch.setattr(allocator, "HINGE_MARGIN", 0.5)
+        rng = np.random.default_rng(11)
+        path, reports = tmp_path / "model.json", 0
+        for n in range(2, 7):
+            model = random_model(rng, n)
+            path.write_text(json.dumps({"A": model.A.tolist()}))
+            for layer in range(n + 1):
+                v = known_state(rng, model, layer)
+                w = actuation(model, v)
+                C = float(log_potential(model, v[None, :])[0])
+                assert main(["invert", "--model", str(path),
+                             "--w=" + ",".join(map(repr, w.tolist())),
+                             f"--C={C!r}", f"--layer={layer}"]) == 0
+                doc = json.loads(capsys.readouterr().out)
+                sp, report = allocator.section_inverse(model, w, layer, C)
+                assert doc["v"] == sp.v.tolist()
+                assert doc["hinge_proximity"] == (None if report is None else {
+                    "index_pair": list(report.index_pair),
+                    "min_abs_v": report.min_abs_v})
+                reports += report is not None
+        assert reports >= 10
+
     def test_transitional_origin_is_solver_error(self, model2_file, capsys):
         rc = main(["invert", "--model", model2_file, "--w", "0.0",
                    "--layer", "1"])
@@ -609,6 +649,38 @@ class TestCsvHelper:
         assert [h.returncode for h in helpers] == [0]
         for name in (f"lift_{allocator}.csv", f"lift_{allocator}.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    @pytest.mark.parametrize("helper_rows", [None, 100],
+                             ids=["in-process", "pipelined"])
+    def test_a_lift_replaces_the_previous_csv(self, model2_file, tmp_path,
+                                              monkeypatch, helpers,
+                                              helper_rows):
+        # the old file is unlinked, not truncated: a hard link to it keeps
+        # its bytes, and a lift that fails leaves it as it is
+        if helper_rows is not None:
+            monkeypatch.setattr(cli, "HELPER_ROWS", helper_rows)
+        csv_path = self.lift(model2_file, tmp_path, "out", "--C=0.5") / \
+            "lift_extremal.csv"
+        old = csv_path.read_bytes()
+        os.link(csv_path, tmp_path / "old.csv")
+        ref = self.lift(model2_file, tmp_path, "ref") / "lift_extremal.csv"
+        assert csv_path.read_bytes() == old   # nothing ran into "out" yet
+        self.lift(model2_file, tmp_path, "out")
+        assert (tmp_path / "old.csv").read_bytes() == old
+        new = csv_path.read_bytes()
+        assert new == ref.read_bytes() != old
+        assert [h.returncode for h in helpers] == \
+            [0] * (0 if helper_rows is None else 3)
+        # a NaN time stamp after the head, and states that underflow
+        traj = write_trajectory(tmp_path)
+        bad = tmp_path / "bad.csv"
+        text = Path(traj).read_text()
+        bad.write_text(text.replace("\n3.", "\nnan,0\n3.", 1))
+        for trajectory, C, rc in ((bad, "0", 1), (traj, "-2000", 2)):
+            assert main(["lift", "--model", model2_file, "--trajectory",
+                         str(trajectory), f"--C={C}", "--out",
+                         str(csv_path.parent)]) == rc
+            assert csv_path.read_bytes() == new
 
     @pytest.mark.parametrize("with_masks", [False, True])
     def test_special_values(self, tmp_path, monkeypatch, helpers, with_masks):
@@ -977,6 +1049,34 @@ class TestParser:
                                     "negative"], capsys)
         assert rc == 2
         assert "argument --branch: not allowed with argument --layer" in err
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_help_is_the_stock_formatters(self, columns, capsys, monkeypatch):
+        # the width read once per build formats the help as argparse's own
+        # formatter, which reads the width itself, does
+        monkeypatch.setenv("COLUMNS", columns)
+
+        def helps():
+            full = build_parser()
+            return [full.format_help()] + [
+                text for name in COMMANDS for text in (
+                    build_parser(name).format_help(),
+                    run_cli(full.parse_args, [name, "--help"], capsys)[1])]
+        ours = helps()
+        monkeypatch.setattr(cli, "_help_formatter",
+                            lambda: argparse.HelpFormatter)
+        assert ours == helps()
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_a_build_reads_the_terminal_width_once(self, command, monkeypatch):
+        reads, size = [], shutil.get_terminal_size
+
+        def counted(*args):
+            reads.append(args)
+            return size(*args)
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        build_parser(command).format_help()
+        assert len(reads) == 1
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--model", "m.json"],
