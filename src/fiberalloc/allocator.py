@@ -171,12 +171,18 @@ def lift_block(model: AllocationModel, t, w_samples, allocator: str,
     # ||dv|| and min|v_i| column by column: numpy reduces along a short row
     # axis several times slower
     speed, min_abs_v = np.zeros(tp.shape[0]), np.abs(vs[:, 0])
-    for v in vp.T:
-        dv = np.diff(v)
-        speed[1:] += dv * dv
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        for v in vp.T:
+            dv = np.diff(v)
+            speed[1:] += dv * dv
+        speed[1:] = np.sqrt(speed[1:]) / np.diff(tp)
     for v in vs.T:
         np.minimum(min_abs_v, np.abs(v), out=min_abs_v)
-    speed[1:] = np.sqrt(speed[1:]) / np.diff(tp)
+    bad = np.flatnonzero(~np.isfinite(speed[pad:]))
+    if bad.size:
+        raise ValueError(f"the speed |dv|/dt of sample {first_row + bad[0]} "
+                         f"(t = {t[bad[0]]:g}) is not finite: "
+                         f"{speed[pad + bad[0]]:g}")
     masks = orthant_masks(vp)
     changed = np.flatnonzero(np.diff(masks))
     if allocator == "extremal" and changed.size:
@@ -194,9 +200,13 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     and 'section' solve on the leaf C of layer ``layer`` (n when None),
     'extremal' on layer 0 or n only (ValueError otherwise), and an error names
     the sample and its time.  'naive' takes neither a layer nor a nonzero C
-    (ValueError).  An extremal lift that leaves its orthant raises
-    ConfinementError.  The lift of a trajectory in blocks is
-    :func:`lift_block`.
+    (ValueError).  A sample whose speed is not finite, as when its time step
+    is so small that the quotient overflows, is a ValueError naming it and
+    its time.  An extremal lift that leaves its orthant raises
+    ConfinementError.  The first error met is raised, in this order: a bad
+    time stamp, the first sample that cannot be solved, the first speed that
+    is not finite, then the first orthant change.  The lift of a trajectory
+    in blocks is :func:`lift_block`.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))

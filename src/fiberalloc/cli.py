@@ -8,16 +8,17 @@ uses a header row and 17 significant digits so doubles round-trip losslessly.
 When more than one CPU is available, a large CSV has part of its rows
 formatted by a standard-library-only helper process (``_csvrows.py``): the
 second half of a fibers or foliation table, and the rows after the head of a
-long lift.  The lift is a pipeline: it reads its trajectory in blocks, lifts
-each block after the head and sends it to the helper at once, so that the
-helper formats the tail while the trajectory is still being read and solved;
-last it lifts and writes the head and appends the helper's text.  Rows go to
-the helper in frames, one JSON line with the row count and the row formats
-new in the frame, then the rows' format keys and values, written to an
-unnamed temporary file and announced by one line on the helper's stdin, so
-that sending never waits for the helper.  The bytes written are the same as
-when every row is formatted in process, and a lift error is the in-process
-lift's.
+long lift.  There is one lift, a pipeline: it reads its trajectory in
+blocks, lifts each block after the head and sends it to the helper at once,
+so that the helper formats the tail while the trajectory is still being read
+and solved; last it lifts and writes the head and appends the helper's text.
+Without a helper the head is the whole trajectory.  Rows go to the helper in
+frames, one JSON line with the row count and the row formats new in the
+frame, then the rows' format keys and values, written to an unnamed
+temporary file and announced by one line on the helper's stdin, so that
+sending never waits for the helper.  The bytes written are the same as when
+every row is formatted in process, and an error of a lift with a helper is
+reported by the same lift run again without one.
 
 Exit codes: 0 success, 1 validation error, 2 solver error, 3 I/O error.  A
 ValueError, WrongShapeError, RankDeficientError or DegenerateRedundancyError
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from ._csvrows import format_rows
-from .allocator import hinge_proximity, lift_block, lift_trajectory
+from .allocator import hinge_proximity, lift_block
 from .errors import (DegenerateRedundancyError, FiberAllocError,
                      RankDeficientError, WrongShapeError)
 from .fibers import _on_fiber, crossings
@@ -307,6 +308,10 @@ def cmd_foliation(args) -> int:
     out = Path(args.out)
     rng = np.random.default_rng(args.seed)
     mags = _parse_vector(args.magnitudes)
+    bad = np.flatnonzero(~np.isfinite(mags))
+    if bad.size:
+        raise ValueError(f"--magnitudes {args.magnitudes!r}: entry "
+                         f"{bad[0] + 1} is {mags[bad[0]]:g}, not finite")
     if args.orthant:
         # a signature of the wrong length or with a sign other than +/- is a
         # ValueError of classify_orthant
@@ -387,124 +392,100 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _skip_header(fh) -> None:
-    """Read past a trajectory CSV's comment lines and its header row."""
-    while fh.readline().startswith("#"):
-        pass
-
-
-def _read_rows(lines, max_rows=None) -> np.ndarray:
+def _read_rows(path, lines, max_rows=None) -> np.ndarray:
     """The float rows of ``lines`` (an open trajectory file or a list of its
-    lines), up to ``max_rows`` of them, as a 2-D array."""
-    with warnings.catch_warnings():   # no rows is the caller's to judge
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, delimiter=",", ndmin=2, max_rows=max_rows)
+    lines), up to ``max_rows`` of them, as a 2-D array; ValueError naming the
+    trajectory file ``path`` for a row that does not parse."""
+    try:
+        with warnings.catch_warnings():   # no rows is the caller's to judge
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(lines, delimiter=",", ndmin=2, max_rows=max_rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_trajectory(path) -> np.ndarray:
-    """The samples of a trajectory CSV, one ``t, w_1..w_m`` row each, after
-    its comment lines and header row; ValueError naming ``path`` for a file
-    without samples or with a row that does not parse."""
-    with open(path) as fh:
-        _skip_header(fh)
-        try:
-            data = _read_rows(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    if not len(data):
-        raise ValueError(f"{path}: the trajectory file has no samples")
-    return data
+def _lift(model: AllocationModel, layer: int | None, args, path: Path,
+          header: list[str], share: bool = True):
+    """The lift of :func:`cmd_lift`: it reads the trajectory, lifts it
+    (:func:`lift_block`) and writes every row.  Returns the lift's ``(speed,
+    min_abs_v, masks)``.
 
+    With ``share``, a helper process (see :func:`_csv_helper`) starts first,
+    for a trajectory whose size is that of HELPER_ROWS lines like its first
+    sample's.  Its head, the first LIFT_HEAD_SHARE of the samples' bytes, is
+    read and kept.  Then each block of LIFT_BLOCK_ROWS samples after it is
+    read, lifted (after the head's last sample, lifted alone) and sent to the
+    helper as one frame, so that the helper formats the tail while this
+    process reads it.  Last the head is lifted and its rows written, then the
+    helper's text.  Without a helper the head is the whole trajectory.
 
-def _lift_in_process(model: AllocationModel, layer: int | None, args,
-                     path: Path, header: list[str]):
-    """The lift of :func:`cmd_lift` in this process alone: it reads every
-    sample, lifts them (:func:`lift_trajectory`) and writes every row.
-    Returns the lift's ``(speed, min_abs_v, masks)``."""
-    data = _read_trajectory(args.trajectory)
-    t = data[:, 0]
-    lifted = lift_trajectory(model, t, data[:, 1:], args.allocator, layer,
-                             args.C)
-    values = np.column_stack([t, lifted.v, lifted.speed, lifted.min_abs_v])
-    formats = {}
-    _add_row_formats(formats, model, values.shape[1], None, lifted.masks)
-    _write_rows(path, header, args.seed, formats, lifted.masks, values, None)
-    return lifted.speed, lifted.min_abs_v, lifted.masks
-
-
-def _lift_pipelined(model: AllocationModel, layer: int | None, args,
-                    path: Path, header: list[str]):
-    """The lift of :func:`cmd_lift` with a helper process; None, having read
-    one sample, when no helper is started (see :func:`_csv_helper`).
-
-    The helper starts first, for a trajectory whose size is that of
-    HELPER_ROWS lines like its first sample's.  The head, the first
-    LIFT_HEAD_SHARE of the samples' bytes, is read and kept.  Then each block
-    of LIFT_BLOCK_ROWS samples after it is read, lifted (:func:`lift_block`,
-    after the head's last sample, lifted alone) and sent to the helper as one
-    frame, so that the helper formats the tail while this process reads it.
-    Last the head is lifted and its rows written, then the helper's text.
-    Returns the lift's ``(speed, min_abs_v, masks)``.  A ValueError or
-    FiberAllocError kills the helper and writes no file, but its text may
-    differ from the in-process lift's, which finds the errors in their order.
+    A ValueError or FiberAllocError of a lift with a helper kills the helper,
+    and the lift runs again without one, which reads every sample before it
+    lifts them all at once, and so finds the errors in their order; that
+    run's error is raised, and no file is written.
     """
     lift = partial(lift_block, model, allocator=args.allocator, layer=layer,
                    C=args.C)
-    with open(args.trajectory) as fh:
-        _skip_header(fh)
-        start = fh.tell()
-        first = fh.readline()
-        size = os.fstat(fh.fileno()).st_size - start
-        with _csv_helper(size // max(len(first), 1)) as helper:
-            if helper is None:
-                return None
-            head = _read_rows([first] + fh.readlines(
-                max(1, int(LIFT_HEAD_SHARE * size) - len(first))))
-            if not len(head):
-                raise ValueError("the trajectory file has no samples")
-            rows = len(head)
-            v = lift(head[-1:, 0], head[-1:, 1:], first_row=rows - 1)[0]
-            before = head[-1, 0], v[0]
-            formats, parts = {}, []
-            while len(block := _read_rows(fh, LIFT_BLOCK_ROWS)):
-                t = block[:, 0]
-                v, speed, min_abs_v, masks = lift(t, block[:, 1:],
-                                                  first_row=rows, before=before)
+    read = partial(_read_rows, args.trajectory)
+    helper = None
+    try:
+        with open(args.trajectory) as fh:
+            while fh.readline().startswith("#"):   # then the header row
+                pass
+            start = fh.tell()
+            first = fh.readline()
+            size = os.fstat(fh.fileno()).st_size - start
+            with _csv_helper(size // max(len(first), 1) if share else 0) \
+                    as helper:
+                if helper is None:
+                    fh.seek(start)
+                    head = read(fh)
+                else:
+                    head = read([first] + fh.readlines(
+                        max(1, int(LIFT_HEAD_SHARE * size) - len(first))))
+                if not len(head):
+                    raise ValueError(f"{args.trajectory}: the trajectory file "
+                                     "has no samples")
+                formats, parts, rows = {}, [], len(head)
+                if helper is not None:
+                    v = lift(head[-1:, 0], head[-1:, 1:], first_row=rows - 1)[0]
+                    before = head[-1, 0], v[0]
+                while helper is not None and len(
+                        block := read(fh, LIFT_BLOCK_ROWS)):
+                    t = block[:, 0]
+                    v, speed, min_abs_v, masks = lift(
+                        t, block[:, 1:], first_row=rows, before=before)
+                    values = np.column_stack([t, v, speed, min_abs_v])
+                    _add_row_formats(formats, model, values.shape[1], None,
+                                     masks)
+                    _feed_helper(helper, formats, masks, values)
+                    parts.append((speed, min_abs_v, masks))
+                    before, rows = (t[-1], v[-1]), rows + len(block)
+                t = head[:, 0]
+                v, speed, min_abs_v, masks = lift(t, head[:, 1:])
                 values = np.column_stack([t, v, speed, min_abs_v])
                 _add_row_formats(formats, model, values.shape[1], None, masks)
-                _feed_helper(helper, formats, masks, values)
-                parts.append((speed, min_abs_v, masks))
-                before, rows = (t[-1], v[-1]), rows + len(block)
-            t = head[:, 0]
-            v, speed, min_abs_v, masks = lift(t, head[:, 1:])
-            values = np.column_stack([t, v, speed, min_abs_v])
-            _add_row_formats(formats, model, values.shape[1], None, masks)
-            _write_rows(path, header, args.seed, formats, masks, values, helper)
-    parts.insert(0, (speed, min_abs_v, masks))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+                _write_rows(path, header, args.seed, formats, masks, values,
+                            helper)
+    except (ValueError, FiberAllocError):
+        if helper is None:
+            raise
+    else:
+        parts.insert(0, (speed, min_abs_v, masks))
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    # the helper is reaped; the lift without one names the first error
+    return _lift(model, layer, args, path, header, share=False)
 
 
 def cmd_lift(args) -> int:
-    """Lift a trajectory CSV and write its rows and summary.
-
-    With more than one CPU a long trajectory is lifted by
-    :func:`_lift_pipelined`, which shares the formatting with a helper
-    process; else, and to report an error of that lift, every sample is
-    lifted here (:func:`_lift_in_process`).  The bytes are the same.
-    """
+    """Lift a trajectory CSV and write its rows and summary (:func:`_lift`)."""
     model = load_model(args.model)
     out = Path(args.out)
-    layer = _layer(model, args)
     path = out / f"lift_{args.allocator}.csv"
     header = ["t"] + [f"v_{i+1}" for i in range(model.n)] + \
         ["speed", "min_abs_v", "signature"]
-    try:
-        lifted = _lift_pipelined(model, layer, args, path, header)
-    except (ValueError, FiberAllocError):
-        lifted = None   # the helper is reaped; the rerun names the error
-    if lifted is None:
-        lifted = _lift_in_process(model, layer, args, path, header)
-    speed, min_abs_v, masks = lifted
+    speed, min_abs_v, masks = _lift(model, _layer(model, args), args, path,
+                                    header)
     summary = {
         "allocator": args.allocator,
         "samples": len(speed),

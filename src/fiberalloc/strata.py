@@ -27,8 +27,6 @@ import numpy as np
 
 from .model import AllocationModel
 
-#: Enumeration is refused beyond this width (bitmask cap).
-MAX_N = 24
 #: Hinge lists and layer graphs are refused beyond this many hinges (about
 #: 1 GiB at 0.5 kB a hinge).
 MAX_HINGES = 2_000_000
@@ -119,8 +117,6 @@ def enumerate_layer(model: AllocationModel, l: int) -> list[OrthantSignature]:
     """All C(n, l) signatures with exactly l entry faces; a layer of more
     than MAX_ORTHANTS orthants is refused (ValueError) before any is built."""
     n = model.n
-    if n > MAX_N:
-        raise ValueError(f"orthant enumeration capped at n = {MAX_N}")
     if not 0 <= l <= n:
         raise ValueError(f"layer must lie in [0, {n}], got {l}")
     if comb(n, l) > MAX_ORTHANTS:

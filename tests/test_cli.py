@@ -307,6 +307,19 @@ class TestFoliation:
         assert "validation error: empty entry in the vector '0.25,,4'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_magnitude_is_validation_error(self, model_file,
+                                                      tmp_path, capsys, entry):
+        out = tmp_path / "fol"
+        rc = main(["foliation", "--model", model_file, "--out", str(out),
+                   "--layer", "3", "--C", "0", "--grid", "4",
+                   f"--magnitudes=1,{entry}"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"validation error: --magnitudes '1,{entry}': entry 2 is {entry}, "
+            "not finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("state, err", [(1.0, "1"), (np.nan, "nan")],
                              ids=["off-the-leaf", "nan"])
     def test_failed_self_check_is_solver_error(self, model_file, tmp_path,
@@ -607,6 +620,20 @@ class TestLift:
         assert rc == 2
         assert "sample 10" in capsys.readouterr().err
 
+    def test_speed_that_overflows_is_validation_error(self, model_file,
+                                                      tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("t,w_1,w_2\n0,1,0\n1e-320,2,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # refused, not warned of
+            rc = main(["lift", "--model", model_file, "--trajectory",
+                       str(traj), "--out", str(tmp_path / "lift")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "validation error: the speed |dv|/dt of sample 1 (t = "
+            "9.99989e-321) is not finite: inf\n")
+        assert not (tmp_path / "lift").exists()
+
 
 class TestCsvHelper:
     """From HELPER_ROWS rows on, with more than one CPU, a helper process
@@ -746,20 +773,47 @@ class TestCsvHelper:
         traj.write_text("".join(lines))
         started_before_solve = []
 
-        def lift(*args):
+        def lift(*args, **kwargs):
             started_before_solve.append(len(helpers))
-            return lift_trajectory(*args)
-        lift_trajectory = cli.lift_trajectory
-        monkeypatch.setattr(cli, "lift_trajectory", lift)
+            return lift_block(*args, **kwargs)
+        lift_block = cli.lift_block
+        monkeypatch.setattr(cli, "lift_block", lift)
         monkeypatch.setattr(cli, "HELPER_ROWS", 100)
         rc = main(["lift", "--model", model2_file, "--trajectory", str(traj),
                    "--out", str(tmp_path / "lift")])
         assert rc == 2
         assert "sample 400" in capsys.readouterr().err
-        assert started_before_solve == [1]
+        assert started_before_solve[0] == 1
+        assert set(started_before_solve) == {1}   # the rerun starts none
         (helper,) = helpers
         assert helper.returncode is not None
         assert helper.stdin.closed and helper.stdout.closed
+
+    @pytest.mark.parametrize("cause", ["one-cpu", "helper-cannot-start"])
+    def test_a_lift_without_a_helper_fails_in_one_pass(
+            self, model2_file, tmp_path, monkeypatch, capsys, helpers, cause):
+        # a lift that started no helper is not run again to name its error
+        traj = self.edited_trajectory(
+            tmp_path, lambda k, t, w: f"{t},nan" if k == 400 else None)
+        calls, lift_block = [], cli.lift_block
+
+        def lift(*args, **kwargs):
+            calls.append(len(args[1]))
+            return lift_block(*args, **kwargs)
+        monkeypatch.setattr(cli, "lift_block", lift)
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        if cause == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        else:
+            monkeypatch.setattr(sys, "executable", str(tmp_path / "missing"))
+        rc = main(["lift", "--model", model2_file, "--trajectory", str(traj),
+                   "--out", str(tmp_path / "lift")])
+        assert rc == 2
+        assert "sample 400 (t = " in capsys.readouterr().err
+        assert calls == [501]
+        assert helpers == ([] if cause == "one-cpu" else [None])
+        assert not (tmp_path / "lift").exists()
 
     def fail_both_ways(self, model_file, tmp_path, monkeypatch, capsys,
                        helpers, traj, *flags):
@@ -836,6 +890,18 @@ class TestCsvHelper:
                                        capsys, helpers, traj)
         assert fed
         assert err.startswith("solver error: ") and "sample 50 (t = " in err
+
+    def test_speed_overflow_in_the_tail(self, model2_file, tmp_path,
+                                        monkeypatch, capsys, helpers):
+        # t = k - 399, but 1e-320 at sample 400: a step whose speed overflows
+        traj = self.edited_trajectory(
+            tmp_path,
+            lambda k, t, w: f"{1e-320 if k == 400 else k - 399:.17g},{w}")
+        fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
+                                       capsys, helpers, traj)
+        assert fed
+        assert err == ("validation error: the speed |dv|/dt of sample 400 "
+                       "(t = 9.99989e-321) is not finite: inf\n")
 
     @pytest.fixture()
     def head_flips(self, monkeypatch):

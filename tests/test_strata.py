@@ -261,6 +261,18 @@ class TestAdjacencyGraph:
             enumerate_layer(m, 12)
         assert comb(24, 12) > strata.MAX_ORTHANTS
 
+    def test_no_cap_on_the_number_of_actuators(self):
+        # the orthant and hinge caps bound a layer; n itself is not capped
+        m = model_with_b(np.linspace(1.0, 2.0, 30))
+        for l in (1, 2):
+            layer = enumerate_layer(m, l)
+            assert len(layer) == comb(30, l)
+            assert {sig.layer for sig in layer} == {l}
+            g = layer_adjacency_graph(m, l)
+            assert len(g["nodes"]) == comb(30, l)
+            assert len(g["edges"]) == hinge_count(30, l)
+            assert g["connected"]
+
     def test_the_orthant_cap_admits_every_layer_up_to_n21(self):
         assert max(comb(21, l) for l in range(22)) <= strata.MAX_ORTHANTS
         assert max(comb(22, l) for l in range(23)) > strata.MAX_ORTHANTS
