@@ -22,6 +22,7 @@ from .errors import (
     DegenerateRedundancyError,
     ExtremalSolveError,
     FiberAllocError,
+    NaiveSolveError,
     NonGenericSegmentError,
     OriginExcludedError,
     RankDeficientError,

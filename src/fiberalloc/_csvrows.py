@@ -1,4 +1,4 @@
-"""CSV row formatting, shared by ``cli._write_csv`` and its helper process.
+"""CSV row formatting, shared by ``cli._write_rows`` and the helper process.
 
 The module uses the standard library only, so that it also runs as a script
 in a bare interpreter (``python -I -S _csvrows.py FD CHUNK ENCODING``), which
@@ -8,10 +8,9 @@ descriptor FD, after the frames before it, and then announces it with one
 line on stdin, its size in bytes.  A frame is one JSON line ``{"rows": r,
 "cols": k, "formats": [...]}``, then the int64 format key of each of its r
 rows, then the float64 values of the rows, k a row, both in native byte
-order.  Key j is the j-th row format sent: ``formats`` lists those that are
-new in the frame, and a format serves every frame after it too.  At the end
-of stdin the script writes the text of every frame, in order and in the
-encoding ENCODING, to stdout.  A frame that is shorter than announced, or
+order.  A frame stands alone: key j is the j-th of its own ``formats``.  At
+the end of stdin the script writes the text of every frame, in order and in
+the encoding ENCODING, to stdout.  A frame that is shorter than announced, or
 whose size is not that of its rows, ends the script with an error.
 """
 import json
@@ -33,7 +32,7 @@ def format_rows(formats, keys, values, cols, chunk):
 
 def main() -> None:
     fd, chunk, encoding = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-    formats, text, offset = [], [], 0
+    text, offset = [], 0
     for line in sys.stdin.buffer:
         size = int(line)
         # pread leaves alone the file position, which the parent shares
@@ -43,8 +42,7 @@ def main() -> None:
             raise ValueError(f"frame of {len(data)} bytes, announced {size}")
         start = data.index(b"\n") + 1
         header = json.loads(data[:start])
-        formats += header["formats"]
-        rows, cols = header["rows"], header["cols"]
+        formats, rows, cols = header["formats"], header["rows"], header["cols"]
         if size - start != 8 * rows * (1 + cols):
             raise ValueError(f"frame of {rows} rows has {size - start} bytes")
         frame = memoryview(data)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfinementError, WrongShapeError
+from .errors import ConfinementError, NaiveSolveError, WrongShapeError
 from .fibers import _rowwise_matvec
 from .model import AllocationModel, untransform
 from .section import SectionPoint, layer_point, solve_rows
@@ -85,20 +85,12 @@ def section_inverse(model: AllocationModel, w, layer: int,
     HingeProximity report naming the two smallest components.
     """
     sp = layer_point(model, w, layer, C)
-    return sp, hinge_proximity(model, sp.v, layer)
-
-
-def hinge_proximity(model: AllocationModel, v: np.ndarray,
-                    layer: int) -> HingeProximity | None:
-    """The HingeProximity report of :func:`section_inverse` for its state v
-    on layer ``layer``: the two smallest components of a transitional state
-    with min|v_i| under HINGE_MARGIN * max|v_i|, else None."""
-    absv = np.abs(v)
+    absv = np.abs(sp.v)
     if 0 < layer < model.n and absv.min() < HINGE_MARGIN * absv.max():
         order = np.argsort(absv)
-        return HingeProximity(index_pair=(int(order[0]), int(order[1])),
-                              min_abs_v=float(absv[order[0]]))
-    return None
+        return sp, HingeProximity(index_pair=(int(order[0]), int(order[1])),
+                                  min_abs_v=float(absv[order[0]]))
+    return sp, None
 
 
 def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
@@ -125,6 +117,11 @@ def _allocate(model: AllocationModel, W: np.ndarray, allocator: str,
     if allocator == "naive":
         if layer is not None or C != 0.0:
             raise ValueError("the naive allocator takes no layer and no C")
+        bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            raise NaiveSolveError(first_row + k, W[k], "the task is not finite",
+                                  t=None if t is None else float(t[k]))
         return naive_minimum_norm_inverse(model, W)
     if allocator not in ("extremal", "section"):
         raise ValueError(f"unknown allocator {allocator!r}")
@@ -200,9 +197,10 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     and 'section' solve on the leaf C of layer ``layer`` (n when None),
     'extremal' on layer 0 or n only (ValueError otherwise), and an error names
     the sample and its time.  'naive' takes neither a layer nor a nonzero C
-    (ValueError).  A sample whose speed is not finite, as when its time step
-    is so small that the quotient overflows, is a ValueError naming it and
-    its time.  An extremal lift that leaves its orthant raises
+    (ValueError), and a task that is not finite raises NaiveSolveError naming
+    the sample and its time.  A sample whose speed is not finite, as when its
+    time step is so small that the quotient overflows, is a ValueError naming
+    it and its time.  An extremal lift that leaves its orthant raises
     ConfinementError.  The first error met is raised, in this order: a bad
     time stamp, the first sample that cannot be solved, the first speed that
     is not finite, then the first orthant change.  The lift of a trajectory
@@ -221,7 +219,9 @@ def smoothness_probe(model: AllocationModel, w0, direction, C: float,
                      scales, allocator: str = "extremal",
                      layer: int | None = None) -> list[dict]:
     """Difference quotients |v(w0 + h d) - v(w0)| / h of an allocator along a
-    unit task direction d, one per finite scale h > 0 (else ValueError).
+    unit task direction d, ``direction`` over its norm, one per finite scale
+    h > 0.  A scale that is not, or a direction whose norm is zero or not
+    finite in float64, is a ValueError.
 
     ``allocator``, ``layer`` and ``C`` are as in :func:`lift_trajectory`, and
     w0 and every w0 + h d are solved in one batch.  For the extremal
@@ -231,7 +231,11 @@ def smoothness_probe(model: AllocationModel, w0, direction, C: float,
     """
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     d = np.atleast_1d(np.asarray(direction, dtype=float))
-    d = d / np.linalg.norm(d)
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        norm = np.linalg.norm(d)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"direction must have a finite nonzero norm, got {d}")
+    d = d / norm
     scales = np.asarray(scales, dtype=float)
     if not np.all((scales > 0) & np.isfinite(scales)):
         raise ValueError(f"scales must be finite and positive, got {scales}")

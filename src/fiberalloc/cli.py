@@ -5,20 +5,20 @@ fibers, foliation, strata and lift write files and take --out (output
 directory); fibers, foliation and lift also take --seed, recorded in every
 output header (foliation draws its task directions from it).  CSV output
 uses a header row and 17 significant digits so doubles round-trip losslessly.
-When more than one CPU is available, a large CSV has part of its rows
-formatted by a standard-library-only helper process (``_csvrows.py``): the
-second half of a fibers or foliation table, and the rows after the head of a
-long lift.  There is one lift, a pipeline: it reads its trajectory in
-blocks, lifts each block after the head and sends it to the helper at once,
-so that the helper formats the tail while the trajectory is still being read
-and solved; last it lifts and writes the head and appends the helper's text.
-Without a helper the head is the whole trajectory.  Rows go to the helper in
-frames, one JSON line with the row count and the row formats new in the
-frame, then the rows' format keys and values, written to an unnamed
-temporary file and announced by one line on the helper's stdin, so that
-sending never waits for the helper.  The bytes written are the same as when
-every row is formatted in process, and an error of a lift with a helper is
-reported by the same lift run again without one.
+fibers and foliation format every row in process.  When more than one CPU
+is available, a long lift has the rows after its head formatted by a
+standard-library-only helper process (``_csvrows.py``).  There is one lift,
+a pipeline: it reads its trajectory in blocks, lifts each block after the
+head and sends it to the helper at once, so that the helper formats the tail
+while the trajectory is still being read and solved; last it lifts and
+writes the head and appends the helper's text.  Without a helper the head is
+the whole trajectory.  Rows go to the helper in frames, each of which stands
+alone: one JSON line with the row count and the formats of the frame's
+distinct masks, then the rows' keys into that list and their values, written
+to an unnamed temporary file and announced by one line on the helper's
+stdin, so that sending never waits for the helper.  The bytes written are
+the same as when every row is formatted in process, and an error of a lift
+with a helper is reported by the same lift run again without one.
 
 Exit codes: 0 success, 1 validation error, 2 solver error, 3 I/O error.  A
 ValueError, WrongShapeError, RankDeficientError or DegenerateRedundancyError
@@ -42,14 +42,14 @@ import numpy as np
 
 from . import __version__
 from ._csvrows import format_rows
-from .allocator import hinge_proximity, lift_block
+from .allocator import lift_block, section_inverse
 from .errors import (DegenerateRedundancyError, FiberAllocError,
                      RankDeficientError, WrongShapeError)
 from .fibers import _on_fiber, crossings
 from .model import (AllocationModel, actuation, load_model, transform,
                     untransform)
 from .potential import phi_sum
-from .section import SOLVED, layer_section, solve_rows
+from .section import SOLVED, layer_section
 from .strata import (
     classify_orthant,
     graph_to_dot,
@@ -62,7 +62,7 @@ from .strata import (
 SELF_CHECK_TOL = 1e-8
 #: Lift rows formatted per write; bounds the memory the CSV text takes.
 CSV_CHUNK_ROWS = 4096
-#: Rows from which a CSV's rows are shared with a helper process, when more
+#: Samples from which a lift shares its rows with a helper process, when more
 #: than one CPU is free.  The helper takes about 9 ms to start (2-vCPU AMD
 #: EPYC), the time of formatting some 6k rows; the share it takes over is
 #: well past that, and a lift starts it before it reads its trajectory.
@@ -95,8 +95,7 @@ def _start_helper():
     """A helper process (``_csvrows.py``) that formats the frames written to
     ``helper.frames``, an unnamed temporary file, as its stdin announces
     them, and writes their text to its stdout pipe at the end of its stdin;
-    None when it cannot be started.  ``helper.keys`` numbers the row formats
-    it has been sent (see :func:`_feed_helper`)."""
+    None when it cannot be started."""
     import locale
     import subprocess
     try:
@@ -113,17 +112,17 @@ def _start_helper():
     except OSError:
         frames.close()
         return None
-    helper.frames, helper.keys = frames, {}
+    helper.frames = frames
     return helper
 
 
 @contextmanager
 def _csv_helper(rows: int):
-    """The helper process for a CSV of about ``rows`` rows, or None.
+    """The helper process of a lift of about ``rows`` samples, or None.
 
-    One is started from HELPER_ROWS rows on, when more than one CPU is free,
-    and can be started before the rows are known, so that its start-up
-    overlaps the work that computes them.  Its frames go to a file, so that
+    One is started from HELPER_ROWS samples on, when more than one CPU is
+    free, before the trajectory is read, so that its start-up overlaps the
+    reading and solving (see :func:`_lift`).  Its frames go to a file, so that
     sending one never waits for the helper.  It is killed on an error in the
     block and always reaped on leaving it, and its file closed.
     """
@@ -142,19 +141,15 @@ def _csv_helper(rows: int):
 
 def _feed_helper(helper, formats: dict, masks: np.ndarray,
                  values: np.ndarray) -> None:
-    """Send the rows ``masks``, ``values`` to ``helper`` as one frame, row k
-    to be formatted as ``formats[masks[k]]``, with the formats the helper
-    does not have yet.  A helper that has already exited is reported by its
-    exit code, not here."""
+    """Send the rows ``masks``, ``values`` to ``helper`` as one frame that
+    stands alone, row k to be formatted as ``formats[masks[k]]``.  A helper
+    that has already exited is reported by its exit code, not here."""
     uniq, index = np.unique(masks, return_inverse=True)
-    uniq = uniq.tolist()
-    new = [k for k in uniq if k not in helper.keys]
-    for k in new:
-        helper.keys[k] = len(helper.keys)
-    index = np.array([helper.keys[k] for k in uniq], np.int64)[index]
+    index = index.astype(np.int64, copy=False)
     values = np.ascontiguousarray(values, dtype=float)
     header = json.dumps({"rows": len(values), "cols": values.shape[1],
-                         "formats": [formats[k] for k in new]}).encode() + b"\n"
+                         "formats": [formats[k] for k in uniq.tolist()]}
+                        ).encode() + b"\n"
     frames = helper.frames
     frames.write(header)
     frames.write(memoryview(index))
@@ -192,29 +187,19 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
     commas make csv.writer quote it), before column ``at`` of ``values``
     (after the last one when ``at`` is None).  Each distinct mask is
     classified once, into a row format of its own, and rows are formatted
-    CSV_CHUNK_ROWS at a time, with one %-format per chunk.
-
-    From HELPER_ROWS rows on, when more than one CPU is free, the second half
-    of the rows is formatted meanwhile by a helper process (``_csvrows.py``,
-    standard library only; see :func:`_csv_helper`), sent as one frame, and
-    appended; the file's bytes are the same.  A helper that fails raises
-    OSError.
+    CSV_CHUNK_ROWS at a time, with one %-format per chunk, all in process:
+    only a lift shares its rows with a helper (:func:`_csv_helper`).
     """
     values = np.ascontiguousarray(values, dtype=float)
     if masks is None:
         masks = np.zeros(len(values), np.int64)
     formats = {}
     _add_row_formats(formats, model, values.shape[1], at, masks)
-    with _csv_helper(len(values)) as helper:
-        split = len(values) if helper is None else len(values) // 2
-        if helper is not None:
-            _feed_helper(helper, formats, masks[split:], values[split:])
-        _write_rows(path, header, seed, formats, masks[:split],
-                    values[:split], helper)
+    _write_rows(path, header, seed, formats, masks, values)
 
 
 def _write_rows(path: Path, header: list[str], seed, formats: dict,
-                masks: np.ndarray, values: np.ndarray, helper) -> None:
+                masks: np.ndarray, values: np.ndarray, helper=None) -> None:
     """Write the CSV of :func:`_write_csv`: the comment line, the header row,
     the rows ``masks``, ``values`` (C-ordered) in the ``formats`` of their
     masks, then the text of every frame sent to ``helper``, unless it is
@@ -373,16 +358,13 @@ def cmd_invert(args) -> int:
     model = load_model(args.model)
     w = _parse_vector(args.w)
     layer = _layer(model, args)
-    layer = model.n if layer is None else layer
-    # section_inverse's state and report, without the orthant signature that
-    # it builds and invert does not print
-    (v,), _ = solve_rows(model, w[None, :], layer, args.C)
-    report = hinge_proximity(model, v, layer)
+    sp, report = section_inverse(model, w, model.n if layer is None else layer,
+                                 args.C)
     doc = {
         "w": w.tolist(),
         "C": args.C,
-        "v": v.tolist(),
-        "actuation_check": actuation(model, v).tolist(),
+        "v": sp.v.tolist(),
+        "actuation_check": actuation(model, sp.v).tolist(),
         "hinge_proximity": (
             None if report is None else
             {"index_pair": list(report.index_pair),

@@ -67,6 +67,12 @@ class ExtremalSolveError(SectionSolveError):
     kind = "extremal"
 
 
+class NaiveSolveError(SectionSolveError):
+    """The naive allocator has no state for one task row: its task is not finite."""
+
+    kind = "naive"
+
+
 class ConfinementError(FiberAllocError):
     """An extremal lift left its orthant; carries the first sample in ``sample``."""
 

@@ -32,7 +32,8 @@ and input layout, a batch of one included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,12 +62,18 @@ SOLVED, REFUSED, NO_CONVERGENCE, OUT_OF_RANGE = range(4)
 
 @dataclass(frozen=True)
 class SectionPoint:
-    """A kinetic state on an orthogonal leaf, tagged (layer, orthant)."""
+    """A kinetic state on an orthogonal leaf, tagged (layer, orthant); the
+    orthant signature is built from ``model`` when it is first read."""
 
     v: np.ndarray
     lam: float
-    orthant: OrthantSignature
     layer: int
+    model: AllocationModel = field(repr=False, compare=False)
+
+    @cached_property
+    def orthant(self) -> OrthantSignature:
+        return signature_from_mask(self.model,
+                                   int(orthant_masks(self.v[None, :])[0]))
 
 
 def layer_section(model: AllocationModel, W, layer: int,
@@ -294,9 +301,8 @@ def solve_rows(model: AllocationModel, W, layer: int, C: float,
 
 def layer_point(model: AllocationModel, w, layer: int, C: float) -> SectionPoint:
     """The batch-of-one :func:`solve_rows`: the state of task w on the leaf
-    C in a layer-``layer`` orthant, with its orthant signature."""
+    C in a layer-``layer`` orthant, whose signature is built when read."""
     V, lam = solve_rows(model, np.atleast_1d(np.asarray(w, dtype=float))[None, :],
                         layer, C)
-    sig = signature_from_mask(model, int(orthant_masks(V)[0]))
-    return SectionPoint(v=V[0], lam=float(lam[0]), orthant=sig, layer=sig.layer)
+    return SectionPoint(v=V[0], lam=float(lam[0]), layer=layer, model=model)
 

@@ -9,6 +9,7 @@ from fiberalloc import (
     ConfinementError,
     ExtremalSolveError,
     HingeProximity,
+    NaiveSolveError,
     NonGenericSegmentError,
     OriginExcludedError,
     SectionSolveError,
@@ -483,11 +484,13 @@ class TestLiftTrajectory:
 
     def test_section_error_names_sample_and_time(self, m3):
         # an extremal lift is the section lift on layer 0 or n, and its
-        # errors carry the same context
+        # errors carry the same context; the naive allocator refuses a
+        # non-finite task alike
         t = np.linspace(0.0, 1.0, 6)
         W = np.tile([1.0, 0.5], (6, 1))
         W[3, 1] = np.nan
-        for allocator, layer in (("extremal", None), ("section", 1)):
+        for allocator, layer in (("extremal", None), ("section", 1),
+                                 ("naive", None)):
             with pytest.raises(SectionSolveError,
                                match=r"sample 3 \(t = 0\.6\)") as exc:
                 lift_trajectory(m3, t, W, allocator, layer)
@@ -601,6 +604,21 @@ class TestSmoothnessProbe:
     def test_scales_must_be_finite_and_positive(self, m2, scales):
         with pytest.raises(ValueError, match="finite and positive"):
             smoothness_probe(m2, [1.0], [1.0], 0.0, scales)
+
+    @pytest.mark.parametrize("direction", [[0.0], [0.0, 0.0], [-0.0],
+                                           [5e-324], [np.nan], [np.inf],
+                                           [1e300, 1e300]])
+    def test_direction_must_have_a_finite_nonzero_norm(self, m2, m3,
+                                                       direction):
+        model = m3 if len(direction) == 2 else m2
+        with pytest.raises(ValueError, match="finite nonzero norm"):
+            smoothness_probe(model, np.ones(model.m), direction, 0.0, [1e-3])
+
+    def test_naive_refuses_a_non_finite_task(self, m3):
+        for w0 in ([np.nan, 1.0], [1.0, -np.inf]):
+            with pytest.raises(NaiveSolveError, match=r"^naive solve failed "
+                               r"at row 0 .*: the task is not finite$"):
+                smoothness_probe(m3, w0, [1.0, 0.0], 0.0, [1e-3], "naive")
 
     def test_both_finite_away_from_crossings(self, m2):
         for allocator in ("extremal", "naive"):

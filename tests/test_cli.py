@@ -519,6 +519,23 @@ class TestLift:
         summary = json.loads((out / "lift_naive.json").read_text())
         assert summary["signature_changes"] >= 2
 
+    @pytest.mark.parametrize("samples, k", [(["0,nan,1"], 0),
+                                            (["0,1,0", "1,nan,1", "2,1,1"], 1)],
+                             ids=["one-sample", "three-samples"])
+    def test_naive_non_finite_task_is_solver_error(self, model_file, tmp_path,
+                                                   capsys, samples, k):
+        # named as a task, not as the speed it would give
+        traj = tmp_path / "traj.csv"
+        traj.write_text("t,w_1,w_2\n" + "\n".join(samples) + "\n")
+        rc = main(["lift", "--model", model_file, "--trajectory", str(traj),
+                   "--allocator", "naive", "--out", str(tmp_path / "lift")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error: naive solve failed at sample {k} "
+                              f"(t = {k}) (w = [nan  1.]): ")
+        assert err.endswith(": the task is not finite\n")
+        assert not (tmp_path / "lift").exists()
+
     def test_csv_format(self, model2_file, tmp_path):
         # a comment line, then csv.writer rows: \r\n endings, %.17g floats
         # and the signature quoted
@@ -635,10 +652,16 @@ class TestLift:
         assert not (tmp_path / "lift").exists()
 
 
+#: values that a CSV row must spell as csv.writer does, in process and in
+#: the helper alike
+SPECIAL_VALUES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1e-310,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
+
+
 class TestCsvHelper:
-    """From HELPER_ROWS rows on, with more than one CPU, a helper process
-    formats part of a CSV: the second half of a fibers or foliation table,
-    the rows after the head of a lift.  The bytes are those written in
+    """From HELPER_ROWS samples on, with more than one CPU, a helper process
+    formats the rows after the head of a lift; fibers and foliation tables
+    are formatted in process at any size.  The bytes are those written in
     process."""
 
     @pytest.fixture()
@@ -710,23 +733,35 @@ class TestCsvHelper:
             assert csv_path.read_bytes() == new
 
     @pytest.mark.parametrize("with_masks", [False, True])
-    def test_special_values(self, tmp_path, monkeypatch, helpers, with_masks):
+    def test_special_values(self, tmp_path, with_masks):
+        # the helper's half is in TestHelperFrames
         model = build_model([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
-        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1e-310,
-                   2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
-        values = np.random.default_rng(2).choice(special, size=(301, 4))
+        values = np.random.default_rng(2).choice(SPECIAL_VALUES, size=(301, 4))
         kwargs = dict(model=model, masks=orthant_masks(values[:, :3]), at=2) \
             if with_masks else {}
         header = ["a", "b", "c", "d"] + (["orthant"] if with_masks else [])
         cli._write_csv(tmp_path / "ref.csv", header, values, 9, **kwargs)
-        assert helpers == []
         assert_csv_writer_bytes(tmp_path / "ref.csv",
                                 text_col=2 if with_masks else None)
-        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
-        cli._write_csv(tmp_path / "out.csv", header, values, 9, **kwargs)
-        assert [h.returncode for h in helpers] == [0]
-        assert (tmp_path / "out.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+
+    def test_fibers_and_foliation_start_no_helper(self, model_file, tmp_path,
+                                                  monkeypatch, helpers):
+        # tables of 400 and 320 rows, above HELPER_ROWS, keep their bytes
+        runs = {}
+        for helper_rows in (None, 100):
+            if helper_rows is not None:
+                monkeypatch.setattr(cli, "HELPER_ROWS", helper_rows)
+            out = tmp_path / f"rows{helper_rows}"
+            assert main(["fibers", "--model", model_file, "--w=2,1", "--out",
+                         str(out)]) == 0
+            assert main(["foliation", "--model", model_file, "--layer=3",
+                         "--C=0.5", "--out", str(out)]) == 0
+            runs[helper_rows] = {p.name: p.read_bytes()
+                                 for p in sorted(out.iterdir())}
+        assert helpers == []
+        assert len(read_csv(out / "fiber_0.csv")[2]) > 100
+        assert len(read_csv(out / "foliation_C0.5.csv")[2]) > 100
+        assert runs[None] == runs[100]
 
     def test_one_cpu_starts_no_helper(self, model2_file, tmp_path,
                                       monkeypatch):
@@ -969,13 +1004,14 @@ class TestHelperFrames:
         return started
 
     def test_wire_format(self):
-        # a chunk of 2 rows, a zero-row frame, and a table that grows: key 1
-        # is the second format sent, in the third frame
+        # a chunk of 2 rows, a zero-row frame, and frames that stand alone:
+        # the third repeats the first's format, under its own key 1
         frames = [({"rows": 3, "cols": 2, "formats": ["%.17g,%.17g,a\r\n"]},
                    [0, 0, 0], [1.0, 2.0, 3.0, 4.0, 0.5, -0.0]),
                   ({"rows": 0, "cols": 2, "formats": []}, [], []),
-                  ({"rows": 2, "cols": 2, "formats": ["%.17g;%.17g,b\r\n"]},
-                   [1, 0], [1e300, np.inf, np.nan, 5e-324])]
+                  ({"rows": 2, "cols": 2, "formats": ["%.17g;%.17g,b\r\n",
+                                                      "%.17g,%.17g,a\r\n"]},
+                   [0, 1], [1e300, np.inf, np.nan, 5e-324])]
         with tempfile.TemporaryFile() as fh:
             sizes = []
             for header, keys, values in frames:
@@ -993,26 +1029,34 @@ class TestHelperFrames:
                                b"nan,4.9406564584124654e-324,a\r\n")
 
     def test_frames_are_the_rows_in_process(self, tmp_path, helper):
-        # several frames, one of no rows, and masks first seen in later ones
+        # several frames, one of no rows, and masks first seen in later ones;
+        # normal values, then infinities, NaN, signed zeros and subnormals
         model = build_model([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
-        values = np.random.default_rng(5).normal(size=(90, 4))
-        masks = orthant_masks(values[:, :3])
-        masks[:20] = masks[0]
-        formats, known = {}, []
-        with helper() as h:
-            for lo, hi in ((0, 20), (20, 20), (20, 21), (21, 90)):
-                cli._add_row_formats(formats, model, 4, None, masks[lo:hi])
-                cli._feed_helper(h, formats, masks[lo:hi], values[lo:hi])
-                known.append(len(h.keys))
-            cli._write_rows(tmp_path / "out.csv", self.HEADER, 3, formats,
-                            masks[:0], values[:0], h)
-        assert h.returncode == 0
-        assert known[0] == 1
-        assert known[-1] == len(set(masks.tolist())) > known[1]
-        cli._write_csv(tmp_path / "ref.csv", self.HEADER, values, 3, model,
-                       masks)
-        assert (tmp_path / "out.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        rng = np.random.default_rng(5)
+        for values in (rng.normal(size=(90, 4)),
+                       rng.choice(SPECIAL_VALUES, size=(90, 4))):
+            masks = orthant_masks(values[:, :3])
+            masks[:20] = masks[0]
+            formats, bounds = {}, ((0, 20), (20, 20), (20, 21), (21, 90))
+            with helper() as h:
+                for lo, hi in bounds:
+                    cli._add_row_formats(formats, model, 4, None, masks[lo:hi])
+                    cli._feed_helper(h, formats, masks[lo:hi], values[lo:hi])
+                cli._write_rows(tmp_path / "out.csv", self.HEADER, 3, formats,
+                                masks[:0], values[:0], h)
+                # each frame lists the formats of its own distinct masks
+                h.frames.seek(0)
+                for lo, hi in bounds:
+                    header = json.loads(h.frames.readline())
+                    h.frames.seek(8 * (hi - lo) * 5, os.SEEK_CUR)
+                    assert header["formats"] == [
+                        formats[k] for k in sorted(set(masks[lo:hi].tolist()))]
+                assert h.frames.read() == b""
+            assert h.returncode == 0
+            cli._write_csv(tmp_path / "ref.csv", self.HEADER, values, 3, model,
+                           masks)
+            assert (tmp_path / "out.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("cut", ["short", "rows"])
     def test_truncated_frame_is_io_error(self, tmp_path, capfd, helper, cut):
