@@ -30,7 +30,7 @@ class HingeProximity:
     min_abs_v: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedTrajectory:
     """Per-sample lift of a task trajectory through one allocator."""
 
@@ -204,7 +204,9 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     ConfinementError.  The first error met is raised, in this order: a bad
     time stamp, the first sample that cannot be solved, the first speed that
     is not finite, then the first orthant change.  The lift of a trajectory
-    in blocks is :func:`lift_block`.
+    in blocks is :func:`lift_block`; the CLI's ``lift`` reads and lifts
+    blocks of ``cli.LIFT_BLOCK_ROWS`` samples, and raises the first error of
+    its first bad block, a row that does not parse first.
     """
     t = np.asarray(t, dtype=float)
     w_samples = np.atleast_2d(np.asarray(w_samples, dtype=float))

@@ -6,19 +6,20 @@ directory); fibers, foliation and lift also take --seed, recorded in every
 output header (foliation draws its task directions from it).  CSV output
 uses a header row and 17 significant digits so doubles round-trip losslessly.
 fibers and foliation format every row in process.  When more than one CPU
-is available, a long lift has the rows after its head formatted by a
-standard-library-only helper process (``_csvrows.py``).  There is one lift,
-a pipeline: it reads its trajectory in blocks, lifts each block after the
-head and sends it to the helper at once, so that the helper formats the tail
-while the trajectory is still being read and solved; last it lifts and
-writes the head and appends the helper's text.  Without a helper the head is
-the whole trajectory.  Rows go to the helper in frames, each of which stands
+is available, a long lift has most of its rows formatted by a
+standard-library-only helper process (``_csvrows.py``).  There is one lift
+loop: it reads its trajectory in blocks, in sample order, and lifts each
+block after the sample before it.  It sends the blocks that start before the
+trajectory's last bytes to the helper at once, so that the helper formats
+them while the trajectory is still being read and solved, and keeps the rest
+(every block, without a helper), which it formats and writes after the
+helper's text.  Rows go to the helper in frames, each of which stands
 alone: one JSON line with the row count and the formats of the frame's
 distinct masks, then the rows' keys into that list and their values, written
 to an unnamed temporary file and announced by one line on the helper's
 stdin, so that sending never waits for the helper.  The bytes written are
-the same as when every row is formatted in process, and an error of a lift
-with a helper is reported by the same lift run again without one.
+the same as when every row is formatted in process, and a lift that fails
+reports the first error of its first bad block, with a helper or without.
 
 Exit codes: 0 success, 1 validation error, 2 solver error, 3 I/O error.  A
 ValueError, WrongShapeError, RankDeficientError or DegenerateRedundancyError
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -67,15 +69,15 @@ CSV_CHUNK_ROWS = 4096
 #: EPYC), the time of formatting some 6k rows; the share it takes over is
 #: well past that, and a lift starts it before it reads its trajectory.
 HELPER_ROWS = 8 * CSV_CHUNK_ROWS
-#: The share of a trajectory's bytes, its head, that a lift with a helper
-#: solves and formats itself, after it has read, solved and sent the rest to
-#: the helper.  Reading and solving take about 0.7 us a row and formatting
-#: 1.45 us (2-vCPU AMD EPYC), so the two processes finish together for
-#: 0.7 + 1.45 h = 1.45 (1 - h), h = 0.26, and a little later for the helper's
-#: start-up and first block: 0.3.
-LIFT_HEAD_SHARE = 0.3
-#: Rows of a trajectory that a lift with a helper reads, solves and sends to
-#: it as one frame.
+#: The share of a trajectory's bytes, at its end, whose blocks a lift with a
+#: helper keeps to format itself, after it has read, solved and sent the
+#: blocks before them to the helper.  Reading and solving take about 0.7 us a
+#: row and formatting 1.45 us (2-vCPU AMD EPYC), so the two processes finish
+#: together for 0.7 + 1.45 h = 1.45 (1 - h), h = 0.26, and a little later for
+#: the helper's start-up and first block: 0.3.
+LIFT_OWN_SHARE = 0.3
+#: Rows of a trajectory that a lift reads and solves at a time, and sends to
+#: a helper as one frame.
 LIFT_BLOCK_ROWS = 4096
 _HELPER = Path(__file__).with_name("_csvrows.py")
 
@@ -122,9 +124,10 @@ def _csv_helper(rows: int):
 
     One is started from HELPER_ROWS samples on, when more than one CPU is
     free, before the trajectory is read, so that its start-up overlaps the
-    reading and solving (see :func:`_lift`).  Its frames go to a file, so that
-    sending one never waits for the helper.  It is killed on an error in the
-    block and always reaped on leaving it, and its file closed.
+    reading and solving of the first block (see :func:`_lift`).  Its frames
+    go to a file, so that sending one never waits for the helper.  It is
+    killed on an error in the block and always reaped on leaving it, and its
+    file closed.
     """
     helper = _start_helper() if rows >= HELPER_ROWS and _cpus() > 1 else None
     if helper is None:
@@ -201,9 +204,11 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
 def _write_rows(path: Path, header: list[str], seed, formats: dict,
                 masks: np.ndarray, values: np.ndarray, helper=None) -> None:
     """Write the CSV of :func:`_write_csv`: the comment line, the header row,
-    the rows ``masks``, ``values`` (C-ordered) in the ``formats`` of their
-    masks, then the text of every frame sent to ``helper``, unless it is
-    None.  A helper that fails raises OSError.
+    the text of every frame sent to ``helper``, unless it is None, then the
+    rows ``masks``, ``values`` (C-ordered) in the ``formats`` of their masks.
+    With a helper, the rows are formatted after the end of its stdin and
+    before its text is copied, while it formats its last frames.  A helper
+    that fails raises OSError.
 
     A file already at ``path`` is replaced, not truncated: it is unlinked
     and a new file made, because a truncated file waits for the writeback
@@ -217,13 +222,15 @@ def _write_rows(path: Path, header: list[str], seed, formats: dict,
     with open(path, "w", newline="") as fh:
         fh.write(f"# fiberalloc {__version__} seed={seed}\n" + ",".join(header)
                  + "\r\n")
-        fh.writelines(format_rows(formats, masks.tolist(),
-                                  memoryview(values.reshape(-1)),
-                                  values.shape[1], CSV_CHUNK_ROWS))
+        rows = format_rows(formats, masks.tolist(),
+                           memoryview(values.reshape(-1)), values.shape[1],
+                           CSV_CHUNK_ROWS)
         if helper is not None:
             helper.stdin.close()   # the helper writes its text at its end
+            rows = list(rows)
             fh.flush()
             shutil.copyfileobj(helper.stdout, fh.buffer, 1 << 16)
+        fh.writelines(rows)
     if helper is not None and helper.wait():
         raise OSError(f"{path}: the CSV row helper exited with code "
                       f"{helper.returncode}")
@@ -374,89 +381,79 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _read_rows(path, lines, max_rows=None) -> np.ndarray:
-    """The float rows of ``lines`` (an open trajectory file or a list of its
-    lines), up to ``max_rows`` of them, as a 2-D array; ValueError naming the
-    trajectory file ``path`` for a row that does not parse."""
+def _read_rows(path, fh, first_row: int) -> np.ndarray:
+    """The next block of float rows of the open trajectory file ``fh``, up to
+    LIFT_BLOCK_ROWS of them, as a 2-D array.  A row that does not parse is a
+    ValueError naming the trajectory file ``path`` and the row's number in the
+    whole trajectory, of which ``first_row`` rows were read before."""
     try:
         with warnings.catch_warnings():   # no rows is the caller's to judge
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(lines, delimiter=",", ndmin=2, max_rows=max_rows)
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+            return np.loadtxt(fh, delimiter=",", ndmin=2,
+                              max_rows=LIFT_BLOCK_ROWS)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        # loadtxt numbers the rows of its own read
+        text = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + first_row),
+                      str(exc), count=1)
+        raise ValueError(f"{path}: {text}") from exc
 
 
 def _lift(model: AllocationModel, layer: int | None, args, path: Path,
-          header: list[str], share: bool = True):
+          header: list[str]):
     """The lift of :func:`cmd_lift`: it reads the trajectory, lifts it
     (:func:`lift_block`) and writes every row.  Returns the lift's ``(speed,
     min_abs_v, masks)``.
 
-    With ``share``, a helper process (see :func:`_csv_helper`) starts first,
-    for a trajectory whose size is that of HELPER_ROWS lines like its first
-    sample's.  Its head, the first LIFT_HEAD_SHARE of the samples' bytes, is
-    read and kept.  Then each block of LIFT_BLOCK_ROWS samples after it is
-    read, lifted (after the head's last sample, lifted alone) and sent to the
-    helper as one frame, so that the helper formats the tail while this
-    process reads it.  Last the head is lifted and its rows written, then the
-    helper's text.  Without a helper the head is the whole trajectory.
+    A helper process (see :func:`_csv_helper`) starts first, for a trajectory
+    whose size is that of HELPER_ROWS lines like its first sample's.  Then
+    each block of LIFT_BLOCK_ROWS samples is read and lifted after the sample
+    before it.  A block that starts before the last LIFT_OWN_SHARE of the
+    samples' bytes is sent to the helper as one frame, so that the helper
+    formats it while this process reads on; the others, and every block of a
+    lift without a helper, are kept, and written after the helper's text.
 
-    A ValueError or FiberAllocError of a lift with a helper kills the helper,
-    and the lift runs again without one, which reads every sample before it
-    lifts them all at once, and so finds the errors in their order; that
-    run's error is raised, and no file is written.
+    The first block that fails raises its first error, in the order of
+    :func:`lift_block`: a row that does not parse, then a bad time stamp,
+    then a sample that cannot be solved, a speed that is not finite, an
+    orthant change.  The blocks depend on the file alone, so a lift fails
+    alike with a helper and without, and writes no file.
     """
     lift = partial(lift_block, model, allocator=args.allocator, layer=layer,
                    C=args.C)
-    read = partial(_read_rows, args.trajectory)
-    helper = None
-    try:
-        with open(args.trajectory) as fh:
-            while fh.readline().startswith("#"):   # then the header row
-                pass
-            start = fh.tell()
-            first = fh.readline()
-            size = os.fstat(fh.fileno()).st_size - start
-            with _csv_helper(size // max(len(first), 1) if share else 0) \
-                    as helper:
-                if helper is None:
-                    fh.seek(start)
-                    head = read(fh)
-                else:
-                    head = read([first] + fh.readlines(
-                        max(1, int(LIFT_HEAD_SHARE * size) - len(first))))
-                if not len(head):
-                    raise ValueError(f"{args.trajectory}: the trajectory file "
-                                     "has no samples")
-                formats, parts, rows = {}, [], len(head)
-                if helper is not None:
-                    v = lift(head[-1:, 0], head[-1:, 1:], first_row=rows - 1)[0]
-                    before = head[-1, 0], v[0]
-                while helper is not None and len(
-                        block := read(fh, LIFT_BLOCK_ROWS)):
-                    t = block[:, 0]
-                    v, speed, min_abs_v, masks = lift(
-                        t, block[:, 1:], first_row=rows, before=before)
-                    values = np.column_stack([t, v, speed, min_abs_v])
-                    _add_row_formats(formats, model, values.shape[1], None,
-                                     masks)
-                    _feed_helper(helper, formats, masks, values)
-                    parts.append((speed, min_abs_v, masks))
-                    before, rows = (t[-1], v[-1]), rows + len(block)
-                t = head[:, 0]
-                v, speed, min_abs_v, masks = lift(t, head[:, 1:])
+    with open(args.trajectory) as fh:
+        while fh.readline().startswith("#"):   # then the header row
+            pass
+        start = fh.tell()
+        first = fh.readline()
+        fh.seek(start)
+        end = os.fstat(fh.fileno()).st_size
+        keep_from = end - LIFT_OWN_SHARE * (end - start)
+        with _csv_helper((end - start) // max(len(first), 1)) as helper:
+            formats, parts, rows, before = {}, [], 0, None
+            # the rows kept, none when the helper takes every block
+            kept = [(np.zeros(0, np.int64), np.zeros((0, model.n + 3)))]
+            while True:
+                at = fh.buffer.tell()   # fh.tell() fails after a loadtxt
+                if not len(block := _read_rows(args.trajectory, fh, rows)):
+                    break
+                t = block[:, 0]
+                v, speed, min_abs_v, masks = lift(
+                    t, block[:, 1:], first_row=rows, before=before)
                 values = np.column_stack([t, v, speed, min_abs_v])
                 _add_row_formats(formats, model, values.shape[1], None, masks)
-                _write_rows(path, header, args.seed, formats, masks, values,
-                            helper)
-    except (ValueError, FiberAllocError):
-        if helper is None:
-            raise
-    else:
-        parts.insert(0, (speed, min_abs_v, masks))
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    # the helper is reaped; the lift without one names the first error
-    return _lift(model, layer, args, path, header, share=False)
+                if helper is not None and at < keep_from:
+                    _feed_helper(helper, formats, masks, values)
+                else:
+                    kept.append((masks, values))
+                parts.append((speed, min_abs_v, masks))
+                before, rows = (t[-1], v[-1]), rows + len(block)
+            if not rows:
+                raise ValueError(f"{args.trajectory}: the trajectory file has "
+                                 "no samples")
+            masks, values = (np.concatenate(column) for column in zip(*kept))
+            _write_rows(path, header, args.seed, formats, masks, values, helper)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def cmd_lift(args) -> int:

@@ -20,7 +20,7 @@ from .strata import OrthantSignature, extremal_signature, signature_from_mask
 CROSSING_RTOL = 32 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberPoint:
     """A single sampled point of a fiber.
 
@@ -36,7 +36,7 @@ class FiberPoint:
     divergent_indices: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberTrace:
     """Crossing structure and orthant itinerary of one fiber.
 

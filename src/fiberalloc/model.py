@@ -22,7 +22,7 @@ RANK_RTOL = 1e-10
 B_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationModel:
     """Immutable validated allocation model.
 

@@ -60,7 +60,7 @@ SOLVE_CHUNK_ROWS = 4096
 SOLVED, REFUSED, NO_CONVERGENCE, OUT_OF_RANGE = range(4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionPoint:
     """A kinetic state on an orthogonal leaf, tagged (layer, orthant); the
     orthant signature is built from ``model`` when it is first read."""
@@ -68,7 +68,7 @@ class SectionPoint:
     v: np.ndarray
     lam: float
     layer: int
-    model: AllocationModel = field(repr=False, compare=False)
+    model: AllocationModel = field(repr=False)
 
     @cached_property
     def orthant(self) -> OrthantSignature:

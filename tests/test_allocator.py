@@ -15,9 +15,11 @@ from fiberalloc import (
     SectionSolveError,
     WrongShapeError,
     actuation,
+    build_model,
     crossing_parameters,
     extremal_inverse,
     extremal_inverse_batch,
+    fiber_point,
     layer_section,
     lift_trajectory,
     naive_minimum_norm_inverse,
@@ -626,3 +628,23 @@ class TestSmoothnessProbe:
                                     allocator=allocator)
             q = [r["quotient"] for r in rows]
             assert q[0] == pytest.approx(q[-1], rel=0.01)
+
+
+#: one maker per result type that holds arrays, each called twice with m3
+ARRAY_HOLDERS = {
+    "AllocationModel": lambda m: build_model(m.A),
+    "SectionPoint": lambda m: section_inverse(m, [1.0, 0.5], 3)[0],
+    "FiberPoint": lambda m: fiber_point(m, [1.0, 0.5], 0.3),
+    "FiberTrace": lambda m: crossing_parameters(m, [1.0, 0.5]),
+    "LiftedTrajectory": lambda m: lift_trajectory(
+        m, [0.0, 1.0], [[1.0, 0.5], [1.1, 0.5]], "extremal"),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(m3, make):
+    # equal-valued arrays would make a field-wise == ambiguous
+    a, b = make(m3), make(m3)
+    assert type(a).__name__ in ARRAY_HOLDERS
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

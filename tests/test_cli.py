@@ -660,9 +660,9 @@ SPECIAL_VALUES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1e-310,
 
 class TestCsvHelper:
     """From HELPER_ROWS samples on, with more than one CPU, a helper process
-    formats the rows after the head of a lift; fibers and foliation tables
-    are formatted in process at any size.  The bytes are those written in
-    process."""
+    formats the blocks of a lift before its last bytes; fibers and foliation
+    tables are formatted in process at any size.  The bytes are those written
+    in process."""
 
     @pytest.fixture()
     def helpers(self, monkeypatch):
@@ -690,7 +690,8 @@ class TestCsvHelper:
     @pytest.mark.parametrize("allocator", ["extremal", "section", "naive"])
     def test_lift(self, model2_file, tmp_path, monkeypatch, helpers,
                   allocator):
-        # 501 rows: a head of 156 rows, then 6 frames, the last of 25 rows
+        # 501 rows: 4 frames of 64 rows (the helper's file reads ahead of
+        # the lift by 8 kB), then 245 rows kept
         flags = ["--allocator", allocator]
         ref = self.lift(model2_file, tmp_path, "ref", *flags)
         assert helpers == []
@@ -731,6 +732,20 @@ class TestCsvHelper:
                          str(trajectory), f"--C={C}", "--out",
                          str(csv_path.parent)]) == rc
             assert csv_path.read_bytes() == new
+
+    def test_helper_that_takes_every_block(self, model2_file, tmp_path,
+                                           monkeypatch, capsys, helpers):
+        # a first line of 4 bytes makes 60 samples look like some 500: the
+        # helper starts, and their one block starts before the last bytes
+        traj = Path(write_trajectory(tmp_path))
+        lines = traj.read_text().splitlines(keepends=True)
+        assert lines[1] == "0,0\n"
+        traj.write_text("".join(lines[:61]))
+        runs = self.lift_both_ways(model2_file, tmp_path, monkeypatch, capsys,
+                                   traj)
+        assert [h.returncode for h in helpers] == [0]
+        assert runs[0] == runs[1]
+        assert runs[0][0].count(b"\r\n") == 61
 
     @pytest.mark.parametrize("with_masks", [False, True])
     def test_special_values(self, tmp_path, with_masks):
@@ -819,7 +834,7 @@ class TestCsvHelper:
         assert rc == 2
         assert "sample 400" in capsys.readouterr().err
         assert started_before_solve[0] == 1
-        assert set(started_before_solve) == {1}   # the rerun starts none
+        assert set(started_before_solve) == {1}   # one helper, one pass
         (helper,) = helpers
         assert helper.returncode is not None
         assert helper.stdin.closed and helper.stdout.closed
@@ -827,7 +842,7 @@ class TestCsvHelper:
     @pytest.mark.parametrize("cause", ["one-cpu", "helper-cannot-start"])
     def test_a_lift_without_a_helper_fails_in_one_pass(
             self, model2_file, tmp_path, monkeypatch, capsys, helpers, cause):
-        # a lift that started no helper is not run again to name its error
+        # the lift reads and solves its blocks up to the bad one, once
         traj = self.edited_trajectory(
             tmp_path, lambda k, t, w: f"{t},nan" if k == 400 else None)
         calls, lift_block = [], cli.lift_block
@@ -846,9 +861,36 @@ class TestCsvHelper:
                    "--out", str(tmp_path / "lift")])
         assert rc == 2
         assert "sample 400 (t = " in capsys.readouterr().err
-        assert calls == [501]
+        assert calls == [64] * 7   # sample 400 is in the seventh block
         assert helpers == ([] if cause == "one-cpu" else [None])
         assert not (tmp_path / "lift").exists()
+
+    def frames_fed(self, patch):
+        """The row counts of the frames sent to a helper from now on, while
+        ``patch`` (a monkeypatch) keeps a spy on ``_feed_helper``."""
+        fed, feed = [], cli._feed_helper
+
+        def spy(helper, formats, masks, values):
+            fed.append(len(values))
+            feed(helper, formats, masks, values)
+        patch.setattr(cli, "_feed_helper", spy)
+        return fed
+
+    def lift_both_ways(self, model_file, tmp_path, monkeypatch, capsys, traj):
+        """The CSV and JSON bytes of a lift of ``traj`` with HELPER_ROWS at
+        100, on two CPUs and on one.  Each exits 0 and writes no stderr."""
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        runs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            out = tmp_path / f"cpus{len(cpus)}"
+            assert main(["lift", "--model", model_file, "--trajectory",
+                         str(traj), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            runs.append([(out / name).read_bytes() for name in
+                         ("lift_extremal.csv", "lift_extremal.json")])
+        return runs
 
     def fail_both_ways(self, model_file, tmp_path, monkeypatch, capsys,
                        helpers, traj, *flags):
@@ -857,12 +899,7 @@ class TestCsvHelper:
         It fails as the lift in process alone (one CPU) does: the same exit
         code and error text, and no file.  Its helper is killed and reaped.
         """
-        fed, feed = [], cli._feed_helper
-
-        def spy(helper, formats, masks, values):
-            fed.append(len(values))
-            feed(helper, formats, masks, values)
-        monkeypatch.setattr(cli, "_feed_helper", spy)
+        fed = self.frames_fed(monkeypatch)
         monkeypatch.setattr(cli, "HELPER_ROWS", 100)
         runs = []
         for cpus in ({0, 1}, {0}):
@@ -898,9 +935,10 @@ class TestCsvHelper:
             tmp_path, lambda k, t, w: t if k == 400 else None)
         fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
                                        capsys, helpers, traj)
-        assert fed   # the tail before the ragged row went to the helper
+        assert fed   # the blocks before the ragged row went to the helper
         assert err.startswith(f"validation error: {traj}: ")
         assert "number of columns changed" in err
+        assert "at row 401;" in err   # counted from the trajectory's start
 
     def test_non_increasing_time_in_the_tail(self, model2_file, tmp_path,
                                              monkeypatch, capsys, helpers):
@@ -917,14 +955,36 @@ class TestCsvHelper:
 
     def test_solve_failures_in_the_head_and_the_tail(
             self, model2_file, tmp_path, monkeypatch, capsys, helpers):
-        # the pipelined lift meets sample 400's failure first, but sample 50
-        # is the first in sample order, and it is the one reported
+        # sample 50's block is the first, and fails before any is sent
         traj = self.edited_trajectory(
             tmp_path, lambda k, t, w: f"{t},nan" if k in (50, 400) else None)
         fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
                                        capsys, helpers, traj)
-        assert fed
+        assert fed == []
         assert err.startswith("solver error: ") and "sample 50 (t = " in err
+
+    def test_first_bad_block_wins_over_a_later_parse_error(
+            self, model2_file, tmp_path, monkeypatch, capsys, helpers):
+        # a lift reads no further than its first bad block
+        traj = self.edited_trajectory(
+            tmp_path, lambda k, t, w: f"{t},nan" if k == 50 else
+            t if k == 400 else None)
+        fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
+                                       capsys, helpers, traj)
+        assert fed == []
+        assert err.startswith("solver error: ") and "sample 50 (t = " in err
+
+    def test_blank_line_in_the_tail_is_skipped(self, model2_file, tmp_path,
+                                               monkeypatch, capsys, helpers):
+        # loadtxt warns of a blank line in a block it reads with max_rows
+        ref = self.lift(model2_file, tmp_path, "ref")
+        traj = self.edited_trajectory(
+            tmp_path, lambda k, t, w: f"{t},{w}\r\n" if k == 400 else None)
+        runs = self.lift_both_ways(model2_file, tmp_path, monkeypatch, capsys,
+                                   traj)
+        assert [h.returncode for h in helpers] == [0]
+        assert runs == [[(ref / name).read_bytes() for name in
+                         ("lift_extremal.csv", "lift_extremal.json")]] * 2
 
     def test_speed_overflow_in_the_tail(self, model2_file, tmp_path,
                                         monkeypatch, capsys, helpers):
@@ -939,18 +999,21 @@ class TestCsvHelper:
                        "(t = 9.99989e-321) is not finite: inf\n")
 
     @pytest.fixture()
-    def head_flips(self, monkeypatch):
-        """The sample after the lift's head, where a solve that flips the
-        state of every later sample puts the lift's one orthant change.  A
-        pipelined lift solves the head's last sample first, and alone."""
-        boundary = []
+    def head_flips(self, model2_file, tmp_path, monkeypatch, helpers):
+        """The first sample that a pipelined lift of write_trajectory's file
+        keeps for itself, after the samples it sends to the helper, where a
+        solve that flips the state of every later sample puts the lift's one
+        orthant change."""
+        with monkeypatch.context() as patch:
+            fed = self.frames_fed(patch)
+            patch.setattr(cli, "HELPER_ROWS", 100)
+            self.lift(model2_file, tmp_path, "unflipped")
+        helpers.clear()
+        boundary = sum(fed)
 
         def flipping(model, W, layer, C, t=None, first_row=0):
-            if not boundary:
-                assert len(W) == 1
-                boundary.append(first_row + 1)
             V = np.tile(model.c, (len(W), 1))
-            V[first_row + np.arange(len(W)) >= boundary[0]] *= -1.0
+            V[first_row + np.arange(len(W)) >= boundary] *= -1.0
             return V, np.zeros(len(W))
         monkeypatch.setattr(import_module("fiberalloc.allocator"),
                             "solve_rows", flipping)
@@ -962,9 +1025,9 @@ class TestCsvHelper:
         fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
                                        capsys, helpers,
                                        write_trajectory(tmp_path))
-        assert fed == []   # the first block after the head fails
-        (boundary,) = head_flips
-        assert 100 < boundary < 300
+        boundary = head_flips
+        assert 0 < boundary < 501
+        assert sum(fed) == boundary   # the first block kept fails
         assert err == (f"solver error: extremal lift changed orthant signature "
                        f"at sample {boundary}; confinement violated\n")
 
