@@ -1,9 +1,9 @@
 """CSV row formatting, shared by ``cli._write_rows`` and the helper process.
 
 The module uses the standard library only, so that it also runs as a script
-in a bare interpreter (``python -I -S _csvrows.py FD CHUNK ENCODING``), which
-starts without numpy and without ``site``.  As a script it formats frames of
-rows, CHUNK rows at a time.  The parent writes each frame to the file open as
+in a bare interpreter (``python -I -S _csvrows.py FD ENCODING``), which starts
+without numpy and without ``site``.  As a script it formats frames of rows,
+each with one %-format.  The parent writes each frame to the file open as
 descriptor FD, after the frames before it, and then announces it with one
 line on stdin, its size in bytes.  A frame is one JSON line ``{"rows": r,
 "cols": k, "formats": [...]}``, then the int64 format key of each of its r
@@ -18,20 +18,15 @@ import os
 import sys
 
 
-def format_rows(formats, keys, values, cols, chunk):
-    """The text of the rows, ``chunk`` rows at a time.
-
-    Row k is ``formats[keys[k]] % values[k*cols:(k+1)*cols]``; a chunk is
-    formatted with one %-format.  ``values`` is a flat sequence of floats.
-    """
-    for lo in range(0, len(keys), chunk):
-        hi = lo + chunk
-        yield ("".join([formats[k] for k in keys[lo:hi]])
-               % tuple(values[lo * cols:hi * cols]))
+def format_rows(formats, keys, values):
+    """The text of the rows, formatted with one %-format: row k is
+    ``formats[keys[k]]`` filled with the next values of ``values``, a flat
+    sequence of floats."""
+    return "".join([formats[k] for k in keys]) % tuple(values)
 
 
 def main() -> None:
-    fd, chunk, encoding = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+    fd, encoding = int(sys.argv[1]), sys.argv[2]
     text, offset = [], 0
     for line in sys.stdin.buffer:
         size = int(line)
@@ -49,8 +44,7 @@ def main() -> None:
         keys = frame[start:start + 8 * rows].cast("q")
         values = frame[start + 8 * rows:].cast("d")
         # formatted as the frames come, written when the parent asks for them
-        text += [part.encode(encoding)
-                 for part in format_rows(formats, keys, values, cols, chunk)]
+        text.append(format_rows(formats, keys, values).encode(encoding))
     out = sys.stdout.buffer
     out.writelines(text)
     out.flush()

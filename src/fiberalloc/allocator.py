@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfinementError, NaiveSolveError, WrongShapeError
 from .fibers import _rowwise_matvec
-from .model import AllocationModel, untransform
+from .model import AllocationModel, _task_rows, untransform
 from .section import SectionPoint, layer_point, solve_rows
 from .strata import extremal_signature, orthant_masks
 
@@ -100,10 +100,11 @@ def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
     It crosses coordinate hyperplanes as w varies, with an
     inverse-square-root derivative blow-up at each crossing.  Each row is
     summed on its own (fibers._rowwise_matvec), so it is bit-identical in
-    every batch, as the section solver's rows are.
+    every batch, as the section solver's rows are.  A task of other than m
+    components is a WrongShapeError.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    W = np.ascontiguousarray(np.atleast_2d(w))
+    W = _task_rows(model, np.ascontiguousarray(np.atleast_2d(w)))
     return untransform(_rowwise_matvec(W, model.A_pinv)).reshape(
         w.shape[:-1] + (model.n,))
 
@@ -205,7 +206,7 @@ def lift_trajectory(model: AllocationModel, t, w_samples, allocator: str,
     time stamp, the first sample that cannot be solved, the first speed that
     is not finite, then the first orthant change.  The lift of a trajectory
     in blocks is :func:`lift_block`; the CLI's ``lift`` reads and lifts
-    blocks of ``cli.LIFT_BLOCK_ROWS`` samples, and raises the first error of
+    blocks of ``cli.BLOCK_ROWS`` samples, and raises the first error of
     its first bad block, a row that does not parse first.
     """
     t = np.asarray(t, dtype=float)
@@ -223,7 +224,8 @@ def smoothness_probe(model: AllocationModel, w0, direction, C: float,
     """Difference quotients |v(w0 + h d) - v(w0)| / h of an allocator along a
     unit task direction d, ``direction`` over its norm, one per finite scale
     h > 0.  A scale that is not, or a direction whose norm is zero or not
-    finite in float64, is a ValueError.
+    finite in float64, is a ValueError; a w0 or direction of other than m
+    components is a WrongShapeError.
 
     ``allocator``, ``layer`` and ``C`` are as in :func:`lift_trajectory`, and
     w0 and every w0 + h d are solved in one batch.  For the extremal
@@ -233,6 +235,8 @@ def smoothness_probe(model: AllocationModel, w0, direction, C: float,
     """
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     d = np.atleast_1d(np.asarray(direction, dtype=float))
+    for x in (w0, d):   # not broadcast against each other or the model
+        _task_rows(model, x[None, :])
     with np.errstate(over="ignore"):   # an overflow is refused below
         norm = np.linalg.norm(d)
     if not 0 < norm < np.inf:

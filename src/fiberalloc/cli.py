@@ -5,21 +5,22 @@ fibers, foliation, strata and lift write files and take --out (output
 directory); fibers, foliation and lift also take --seed, recorded in every
 output header (foliation draws its task directions from it).  CSV output
 uses a header row and 17 significant digits so doubles round-trip losslessly.
-fibers and foliation format every row in process.  When more than one CPU
-is available, a long lift has most of its rows formatted by a
+Rows go from file to text in blocks of BLOCK_ROWS, each formatted with one
+%-format.  fibers and foliation format every block in process.  When more
+than one CPU is available, a long lift has most of its blocks formatted by a
 standard-library-only helper process (``_csvrows.py``).  There is one lift
-loop: it reads its trajectory in blocks, in sample order, and lifts each
-block after the sample before it.  It sends the blocks that start before the
-trajectory's last bytes to the helper at once, so that the helper formats
-them while the trajectory is still being read and solved, and keeps the rest
-(every block, without a helper), which it formats and writes after the
-helper's text.  Rows go to the helper in frames, each of which stands
-alone: one JSON line with the row count and the formats of the frame's
-distinct masks, then the rows' keys into that list and their values, written
-to an unnamed temporary file and announced by one line on the helper's
-stdin, so that sending never waits for the helper.  The bytes written are
-the same as when every row is formatted in process, and a lift that fails
-reports the first error of its first bad block, with a helper or without.
+loop: it reads its trajectory a block at a time, in sample order, and lifts
+each block after the sample before it.  It sends the blocks that start
+before the trajectory's last bytes to the helper at once, one frame a block,
+so that the helper formats them while the trajectory is still being read and
+solved, and keeps the rest as blocks (every block, without a helper), which
+it formats and writes after the helper's text.  A frame stands alone: one
+JSON line with the row count and the formats of the block's distinct masks,
+then the rows' keys into that list and their values, written to an unnamed
+temporary file and announced by one line on the helper's stdin, so that
+sending never waits for the helper.  The bytes written are the same as when
+every row is formatted in process, and a lift that fails reports the first
+error of its first bad block, with a helper or without.
 
 Exit codes: 0 success, 1 validation error, 2 solver error, 3 I/O error.  A
 ValueError, WrongShapeError, RankDeficientError or DegenerateRedundancyError
@@ -62,13 +63,16 @@ from .strata import (
 )
 
 SELF_CHECK_TOL = 1e-8
-#: Lift rows formatted per write; bounds the memory the CSV text takes.
-CSV_CHUNK_ROWS = 4096
+#: Rows in a block, from file to text: a lift reads and solves a trajectory a
+#: block at a time and sends a block to a helper as one frame, and every CSV
+#: is formatted a block at a time, with one %-format, which bounds the memory
+#: the text of a block takes.
+BLOCK_ROWS = 4096
 #: Samples from which a lift shares its rows with a helper process, when more
 #: than one CPU is free.  The helper takes about 9 ms to start (2-vCPU AMD
 #: EPYC), the time of formatting some 6k rows; the share it takes over is
 #: well past that, and a lift starts it before it reads its trajectory.
-HELPER_ROWS = 8 * CSV_CHUNK_ROWS
+HELPER_ROWS = 8 * BLOCK_ROWS
 #: The share of a trajectory's bytes, at its end, whose blocks a lift with a
 #: helper keeps to format itself, after it has read, solved and sent the
 #: blocks before them to the helper.  Reading and solving take about 0.7 us a
@@ -76,9 +80,6 @@ HELPER_ROWS = 8 * CSV_CHUNK_ROWS
 #: together for 0.7 + 1.45 h = 1.45 (1 - h), h = 0.26, and a little later for
 #: the helper's start-up and first block: 0.3.
 LIFT_OWN_SHARE = 0.3
-#: Rows of a trajectory that a lift reads and solves at a time, and sends to
-#: a helper as one frame.
-LIFT_BLOCK_ROWS = 4096
 _HELPER = Path(__file__).with_name("_csvrows.py")
 
 _VALIDATION_ERRORS = (WrongShapeError, RankDeficientError,
@@ -108,7 +109,7 @@ def _start_helper():
     try:
         helper = subprocess.Popen(
             [sys.executable, "-I", "-S", str(_HELPER), str(fd),
-             str(CSV_CHUNK_ROWS), locale.getpreferredencoding(False)],
+             locale.getpreferredencoding(False)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
             pass_fds=(fd,))
     except OSError:
@@ -189,26 +190,29 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
     orthant signature of ``masks[k]`` (bit i set when v_i > 0), quoted (its
     commas make csv.writer quote it), before column ``at`` of ``values``
     (after the last one when ``at`` is None).  Each distinct mask is
-    classified once, into a row format of its own, and rows are formatted
-    CSV_CHUNK_ROWS at a time, with one %-format per chunk, all in process:
-    only a lift shares its rows with a helper (:func:`_csv_helper`).
+    classified once, into a row format of its own, and the rows are written
+    in blocks of BLOCK_ROWS, all in process: only a lift shares its rows with
+    a helper (:func:`_csv_helper`).
     """
     values = np.ascontiguousarray(values, dtype=float)
     if masks is None:
         masks = np.zeros(len(values), np.int64)
     formats = {}
     _add_row_formats(formats, model, values.shape[1], at, masks)
-    _write_rows(path, header, seed, formats, masks, values)
+    _write_rows(path, header, seed, formats,
+                ((masks[lo:lo + BLOCK_ROWS], values[lo:lo + BLOCK_ROWS])
+                 for lo in range(0, len(values), BLOCK_ROWS)))
 
 
-def _write_rows(path: Path, header: list[str], seed, formats: dict,
-                masks: np.ndarray, values: np.ndarray, helper=None) -> None:
+def _write_rows(path: Path, header: list[str], seed, formats: dict, blocks,
+                helper=None) -> None:
     """Write the CSV of :func:`_write_csv`: the comment line, the header row,
     the text of every frame sent to ``helper``, unless it is None, then the
-    rows ``masks``, ``values`` (C-ordered) in the ``formats`` of their masks.
-    With a helper, the rows are formatted after the end of its stdin and
-    before its text is copied, while it formats its last frames.  A helper
-    that fails raises OSError.
+    rows of each block ``(masks, values)`` of ``blocks`` (values C-ordered) in
+    the ``formats`` of their masks, a block with one %-format.  Each block is
+    formatted as it is written; with a helper, every block is formatted after
+    the end of its stdin and before its text is copied, while it formats its
+    last frames.  A helper that fails raises OSError.
 
     A file already at ``path`` is replaced, not truncated: it is unlinked
     and a new file made, because a truncated file waits for the writeback
@@ -222,9 +226,9 @@ def _write_rows(path: Path, header: list[str], seed, formats: dict,
     with open(path, "w", newline="") as fh:
         fh.write(f"# fiberalloc {__version__} seed={seed}\n" + ",".join(header)
                  + "\r\n")
-        rows = format_rows(formats, masks.tolist(),
-                           memoryview(values.reshape(-1)), values.shape[1],
-                           CSV_CHUNK_ROWS)
+        rows = (format_rows(formats, masks.tolist(),
+                            memoryview(values.reshape(-1)))
+                for masks, values in blocks)
         if helper is not None:
             helper.stdin.close()   # the helper writes its text at its end
             rows = list(rows)
@@ -383,15 +387,14 @@ def cmd_invert(args) -> int:
 
 def _read_rows(path, fh, first_row: int) -> np.ndarray:
     """The next block of float rows of the open trajectory file ``fh``, up to
-    LIFT_BLOCK_ROWS of them, as a 2-D array.  A row that does not parse is a
+    BLOCK_ROWS of them, as a 2-D array.  A row that does not parse is a
     ValueError naming the trajectory file ``path`` and the row's number in the
     whole trajectory, of which ``first_row`` rows were read before."""
     try:
         with warnings.catch_warnings():   # no rows is the caller's to judge
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
-            return np.loadtxt(fh, delimiter=",", ndmin=2,
-                              max_rows=LIFT_BLOCK_ROWS)
+            return np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=BLOCK_ROWS)
     except ValueError as exc:
         # loadtxt numbers the rows of its own read
         text = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + first_row),
@@ -405,13 +408,16 @@ def _lift(model: AllocationModel, layer: int | None, args, path: Path,
     (:func:`lift_block`) and writes every row.  Returns the lift's ``(speed,
     min_abs_v, masks)``.
 
-    A helper process (see :func:`_csv_helper`) starts first, for a trajectory
-    whose size is that of HELPER_ROWS lines like its first sample's.  Then
-    each block of LIFT_BLOCK_ROWS samples is read and lifted after the sample
-    before it.  A block that starts before the last LIFT_OWN_SHARE of the
-    samples' bytes is sent to the helper as one frame, so that the helper
-    formats it while this process reads on; the others, and every block of a
-    lift without a helper, are kept, and written after the helper's text.
+    The trajectory's first row, after its ``#`` comment lines, is its header
+    row; one whose every field is a number is a ValueError, since it would
+    be a sample lost.  A helper process (see :func:`_csv_helper`) starts
+    next, for a trajectory whose size is that of HELPER_ROWS lines like its
+    first sample's.  Then each block of BLOCK_ROWS samples is read and lifted
+    after the sample before it.  A block that starts before the last
+    LIFT_OWN_SHARE of the samples' bytes is sent to the helper as one frame,
+    so that the helper formats it while this process reads on; the others,
+    and every block of a lift without a helper, are kept as blocks, and
+    formatted and written after the helper's text.
 
     The first block that fails raises its first error, in the order of
     :func:`lift_block`: a row that does not parse, then a bad time stamp,
@@ -422,17 +428,22 @@ def _lift(model: AllocationModel, layer: int | None, args, path: Path,
     lift = partial(lift_block, model, allocator=args.allocator, layer=layer,
                    C=args.C)
     with open(args.trajectory) as fh:
-        while fh.readline().startswith("#"):   # then the header row
+        while (line := fh.readline()).startswith("#"):   # then the header row
             pass
+        try:   # a header row of numbers is a sample, which would be lost
+            [float(field) for field in line.split(",")]
+        except ValueError:
+            pass
+        else:
+            raise ValueError(f"{args.trajectory}: the trajectory file has no "
+                             f"header row: its first row is {line.strip()!r}")
         start = fh.tell()
         first = fh.readline()
         fh.seek(start)
         end = os.fstat(fh.fileno()).st_size
         keep_from = end - LIFT_OWN_SHARE * (end - start)
         with _csv_helper((end - start) // max(len(first), 1)) as helper:
-            formats, parts, rows, before = {}, [], 0, None
-            # the rows kept, none when the helper takes every block
-            kept = [(np.zeros(0, np.int64), np.zeros((0, model.n + 3)))]
+            formats, parts, kept, rows, before = {}, [], [], 0, None
             while True:
                 at = fh.buffer.tell()   # fh.tell() fails after a loadtxt
                 if not len(block := _read_rows(args.trajectory, fh, rows)):
@@ -451,8 +462,7 @@ def _lift(model: AllocationModel, layer: int | None, args, path: Path,
             if not rows:
                 raise ValueError(f"{args.trajectory}: the trajectory file has "
                                  "no samples")
-            masks, values = (np.concatenate(column) for column in zip(*kept))
-            _write_rows(path, header, args.seed, formats, masks, values, helper)
+            _write_rows(path, header, args.seed, formats, kept, helper)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

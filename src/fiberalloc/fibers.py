@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongShapeError
-from .model import AllocationModel, untransform
+from .model import AllocationModel, _state, _task_rows, untransform
 from .strata import OrthantSignature, extremal_signature, signature_from_mask
 
 #: A crossing's relative noise bound, 32 times its rounding bound (see crossings).
@@ -59,9 +58,8 @@ def crossings(model: AllocationModel, W) -> tuple[np.ndarray, np.ndarray]:
     their noise bound CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|, a row's
     bit-identical in every batch.  A component is on its hyperplane within
     its crossing's bound; two crossings coincide within the sum of theirs.
-    Raises WrongShapeError unless W has m columns."""
-    if W.ndim != 2 or W.shape[1] != model.m:
-        raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
+    Raises WrongShapeError unless W has m columns (model._task_rows)."""
+    _task_rows(model, W)
     lam_star = -_rowwise_matvec(W, model.A_pinv) / model.b
     noise = (CROSSING_RTOL * W.shape[1]
              * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))
@@ -145,9 +143,10 @@ def _kernel_direction(model: AllocationModel, v) -> tuple[np.ndarray, np.ndarray
     """b_i / |v_i| per component, computed without a RuntimeWarning, and the
     mask of its non-finite entries.  A state is on the boundary iff the mask
     is not empty: some v_i is 0, or so small that b_i / |v_i| overflows.
-    Raises ValueError for a non-finite v_i."""
+    Raises WrongShapeError for a v that is not one state, ValueError for a
+    non-finite v_i."""
     with np.errstate(divide="ignore", over="ignore"):
-        t = model.b / np.abs(_bare_state(v))
+        t = model.b / np.abs(_bare_state(_state(model, v)))
     return t, ~np.isfinite(t)
 
 

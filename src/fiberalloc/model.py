@@ -125,6 +125,21 @@ def load_model(path) -> AllocationModel:
     return build_model(np.array(rows, dtype=float))
 
 
+def _task_rows(model: AllocationModel, W: np.ndarray) -> np.ndarray:
+    """W; WrongShapeError unless it is 2-D with m columns, a task a row."""
+    if W.ndim != 2 or W.shape[1] != model.m:
+        raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
+    return W
+
+
+def _state(model: AllocationModel, v) -> np.ndarray:
+    """v as a float array; WrongShapeError unless it is one state of n components."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (model.n,):
+        raise WrongShapeError(f"state has shape {v.shape}, expected ({model.n},)")
+    return v
+
+
 def transform(v) -> np.ndarray:
     """Squared-coordinate transform x_i = v_i |v_i| (a global homeomorphism)."""
     v = np.asarray(v, dtype=float)
@@ -139,11 +154,9 @@ def untransform(x) -> np.ndarray:
 
 def actuation(model: AllocationModel, v) -> np.ndarray:
     """Forward map w = A (v .* |v|)."""
-    v = np.asarray(v, dtype=float)
-    return model.A @ transform(v)
+    return model.A @ transform(_state(model, v))
 
 
 def jacobian(model: AllocationModel, v) -> np.ndarray:
     """Jacobian of the forward map, 2 A diag(|v_1|, ..., |v_n|)."""
-    v = np.asarray(v, dtype=float)
-    return 2.0 * model.A * np.abs(v)[np.newaxis, :]
+    return 2.0 * model.A * np.abs(_state(model, v))[np.newaxis, :]

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BoundaryStateError, CrossingStateError, NonGenericSegmentError
 from .fibers import (FiberTrace, _bare_state, _bare_task, _kernel_direction,
                      _on_fiber, crossing_parameters)
-from .model import AllocationModel
+from .model import AllocationModel, _state
 from .section import SectionPoint, layer_point
 
 
@@ -53,8 +53,9 @@ def _phi(b: np.ndarray, u: np.ndarray) -> PotentialValue:
 
 def potential(model: AllocationModel, v) -> PotentialValue:
     """Global potential Phi(v) = sum_i b_i sign(v_i) ln|v_i|, -inf where some
-    v_i = 0.  Raises ValueError for a non-finite component."""
-    return _phi(model.b, _bare_state(v))
+    v_i = 0.  Raises WrongShapeError for a v that is not one state (n
+    components), ValueError for a non-finite component."""
+    return _phi(model.b, _bare_state(_state(model, v)))
 
 
 def potential_gradient(model: AllocationModel, v) -> np.ndarray:

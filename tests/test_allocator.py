@@ -630,6 +630,17 @@ class TestSmoothnessProbe:
             assert q[0] == pytest.approx(q[-1], rel=0.01)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: lift_trajectory(m, [0.0, 1.0], [[1.0, 0.5], [1.1, 0.5]],
+                              "bogus"),
+    lambda m: smoothness_probe(m, [1.0, 0.5], [1.0, 0.0], 0.0, [1e-3],
+                               allocator="bogus"),
+], ids=["lift_trajectory", "smoothness_probe"])
+def test_unknown_allocator_is_refused(m3, call):
+    with pytest.raises(ValueError, match="^unknown allocator 'bogus'$"):
+        call(m3)
+
+
 #: one maker per result type that holds arrays, each called twice with m3
 ARRAY_HOLDERS = {
     "AllocationModel": lambda m: build_model(m.A),

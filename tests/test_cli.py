@@ -666,16 +666,15 @@ class TestCsvHelper:
 
     @pytest.fixture()
     def helpers(self, monkeypatch):
-        """The helpers started, with HELPER_ROWS at 100, chunks and lift
-        blocks of 64 rows and two CPUs."""
+        """The helpers started, with HELPER_ROWS at 100, blocks of 64 rows
+        and two CPUs."""
         started, start = [], cli._start_helper
 
         def spy(*args):
             started.append(start(*args))
             return started[-1]
         monkeypatch.setattr(cli, "_start_helper", spy)
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 64)
-        monkeypatch.setattr(cli, "LIFT_BLOCK_ROWS", 64)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         return started
@@ -746,6 +745,47 @@ class TestCsvHelper:
         assert [h.returncode for h in helpers] == [0]
         assert runs[0] == runs[1]
         assert runs[0][0].count(b"\r\n") == 61
+
+    @pytest.mark.parametrize("case", ["comment-lines", "no-temporary-file"])
+    def test_lift_of_the_same_samples(self, model2_file, tmp_path,
+                                      monkeypatch, helpers, case):
+        # comment lines before the header are skipped, and a lift whose
+        # helper has no frame file formats every row in process
+        ref = self.lift(model2_file, tmp_path, "ref")
+        traj = Path(write_trajectory(tmp_path))
+        if case == "comment-lines":
+            traj.write_text("# fiberalloc\n#t,w_1\n" + traj.read_text())
+        else:
+            def no_file():
+                raise OSError("no space left for the frames")
+            monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        out = tmp_path / "out"
+        assert main(["lift", "--model", model2_file, "--trajectory",
+                     str(traj), "--out", str(out)]) == 0
+        assert [getattr(h, "returncode", None) for h in helpers] == (
+            [0] if case == "comment-lines" else [None])
+        for name in ("lift_extremal.csv", "lift_extremal.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_trajectory_without_a_header_row(self, model_file, tmp_path,
+                                             monkeypatch, capsys, helpers):
+        # its first sample would be read as the header and lost; refused
+        # before a helper starts, so alike on one CPU and on two
+        traj = tmp_path / "traj.csv"
+        traj.write_text("0,1,2\n1,2,3\n2,3,4\n")
+        monkeypatch.setattr(cli, "HELPER_ROWS", 1)
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            out = tmp_path / f"cpus{len(cpus)}"
+            assert main(["lift", "--model", model_file, "--trajectory",
+                         str(traj), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"validation error: {traj}: the trajectory file has no header "
+                "row: its first row is '0,1,2'\n")
+            assert not out.exists()
+        assert helpers == []
 
     @pytest.mark.parametrize("with_masks", [False, True])
     def test_special_values(self, tmp_path, with_masks):
@@ -1055,9 +1095,9 @@ class TestHelperFrames:
 
     @pytest.fixture()
     def helper(self, monkeypatch):
-        """A helper with chunks of 8 rows, started in the test's call (so
+        """A helper, with blocks of 8 rows, started in the test's call (so
         that capfd has its stderr)."""
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 8)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 8)
 
         @contextmanager
         def started():
@@ -1067,7 +1107,7 @@ class TestHelperFrames:
         return started
 
     def test_wire_format(self):
-        # a chunk of 2 rows, a zero-row frame, and frames that stand alone:
+        # a frame of 3 rows, a zero-row frame, and frames that stand alone:
         # the third repeats the first's format, under its own key 1
         frames = [({"rows": 3, "cols": 2, "formats": ["%.17g,%.17g,a\r\n"]},
                    [0, 0, 0], [1.0, 2.0, 3.0, 4.0, 0.5, -0.0]),
@@ -1085,7 +1125,7 @@ class TestHelperFrames:
             fh.flush()
             proc = subprocess.run(
                 [sys.executable, "-I", "-S", str(cli._HELPER),
-                 str(fh.fileno()), "2", "ascii"], input=b"".join(sizes),
+                 str(fh.fileno()), "ascii"], input=b"".join(sizes),
                 capture_output=True, pass_fds=(fh.fileno(),), check=True)
         assert proc.stdout == (b"1,2,a\r\n3,4,a\r\n0.5,-0,a\r\n"
                                b"1.0000000000000001e+300;inf,b\r\n"
@@ -1106,7 +1146,7 @@ class TestHelperFrames:
                     cli._add_row_formats(formats, model, 4, None, masks[lo:hi])
                     cli._feed_helper(h, formats, masks[lo:hi], values[lo:hi])
                 cli._write_rows(tmp_path / "out.csv", self.HEADER, 3, formats,
-                                masks[:0], values[:0], h)
+                                [], h)
                 # each frame lists the formats of its own distinct masks
                 h.frames.seek(0)
                 for lo, hi in bounds:
@@ -1135,7 +1175,7 @@ class TestHelperFrames:
             h.frames.flush()
             h.stdin.write(b"%d\n" % (len(frame) + (cut == "short") * 8))
             cli._write_rows(tmp_path / "out.csv", ["a", "b"], 0, formats,
-                            masks[:0], values[:0], h)
+                            [], h)
         assert "ValueError: frame of " in capfd.readouterr().err
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from fiberalloc import (
     fiber_tangent_space,
     forward_progress,
     jacobian,
+    naive_minimum_norm_inverse,
+    potential,
     potential_along_fiber,
+    potential_gradient,
     potential_slope,
     section_intersection,
+    smoothness_probe,
 )
 from fiberalloc.errors import WrongShapeError
 from conftest import random_model
@@ -80,12 +85,36 @@ class TestCrossingParameters:
     lambda m, w: fiber_point(m, w, 0.5),
     lambda m, w: crossing_parameters(m, w),
     lambda m, w: potential_along_fiber(m, w, 0.5),
-], ids=["fiber_point", "crossing_parameters", "potential_along_fiber"])
+    lambda m, w: naive_minimum_norm_inverse(m, w),
+    lambda m, w: smoothness_probe(m, w, w, 0.0, [1e-3], allocator="naive"),
+], ids=["fiber_point", "crossing_parameters", "potential_along_fiber",
+        "naive_minimum_norm_inverse", "naive_smoothness_probe"])
 def test_task_of_the_wrong_length_is_refused(m3, call, w):
     # einsum would broadcast a length-1 task over every task component
     with pytest.raises(WrongShapeError,
                        match=rf"tasks have shape \(1, {len(w)}\), expected \(rows, 2\)"):
         call(m3, w)
+
+
+@pytest.mark.parametrize("v", [[2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]],
+                         ids=["short", "long", "row"])
+@pytest.mark.parametrize("call", [potential, potential_gradient,
+                                  fiber_tangent_space, forward_progress,
+                                  jacobian, actuation],
+                         ids=lambda f: f.__name__)
+def test_state_of_the_wrong_shape_is_refused(m3, call, v):
+    # numpy would broadcast a 1-component state over every actuator
+    with pytest.raises(WrongShapeError, match=re.escape(
+            f"state has shape {np.shape(v)}, expected (3,)")):
+        call(m3, v)
+
+
+@pytest.mark.parametrize("lam_list", [[2.0, 1.0], [1.0, 1.0], [-1.0, 2.0],
+                                      [0.0]])
+def test_asymptotic_diagnostics_refuses_a_bad_lambda_list(m2, lam_list):
+    with pytest.raises(ValueError, match="lam_list must be positive and "
+                                         "strictly increasing"):
+        asymptotic_diagnostics(m2, [2.0], lam_list)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])

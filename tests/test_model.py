@@ -34,6 +34,12 @@ class TestBuildModel:
         with pytest.raises(WrongShapeError):
             build_model([[1.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused(self, value):
+        with pytest.raises(ValueError,
+                           match="allocation matrix has non-finite entries"):
+            build_model([[1.0, 1.0, 1.0], [1.0, value, 0.0]])
+
     def test_rank_deficient(self):
         with pytest.raises(RankDeficientError):
             build_model([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])

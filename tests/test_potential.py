@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fiberalloc import (
     BoundaryStateError,
     CrossingStateError,
+    NonGenericSegmentError,
     actuation,
     crossing_parameters,
     extremal_inverse,
@@ -328,6 +329,20 @@ class TestSectionIntersection:
             from fiberalloc import potential_slope
             floor = potential_slope(m, w, p1.lam) * (abs(p1.lam) + 1) * 1e-15
             assert potential(m, p1.v).value == pytest.approx(C, abs=1e-8 + floor)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda m: potential_near_crossing(m, crossing_parameters(m, [4.0, -3.0]),
+                                       0, "left", -10.0),
+     ValueError, "side must be 'above' or 'below'"),
+    (lambda m: section_intersection(m, [4.0, -3.0], -1, 0.0),
+     NonGenericSegmentError, "segment -1 out of range: fiber has 4 segments"),
+    (lambda m: section_intersection(m, [4.0, -3.0], 99, 0.0),
+     NonGenericSegmentError, "segment 99 out of range: fiber has 4 segments"),
+], ids=["side", "segment-below", "segment-above"])
+def test_out_of_range_arguments_are_refused(m3, call, error, match):
+    with pytest.raises(error, match=match):
+        call(m3)
 
 
 class TestBoundaryLimits:

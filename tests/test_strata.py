@@ -124,6 +124,17 @@ class TestLayers:
             assert len(seen) == 2**n
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda m: extremal_signature(m, "up"),
+     "branch must be 'positive' or 'negative', got 'up'"),
+    (lambda m: enumerate_layer(m, -1), r"layer must lie in \[0, 3\], got -1"),
+    (lambda m: enumerate_layer(m, 4), r"layer must lie in \[0, 3\], got 4"),
+], ids=["branch", "layer-below", "layer-above"])
+def test_out_of_range_arguments_are_refused(m3, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(m3)
+
+
 class TestBoundaryStrata:
     def test_transitional_n3(self, m3):
         sig = classify_orthant(m3, (1, 1, 1))  # entry {0,1}, exit {2}
