@@ -1,17 +1,21 @@
-"""CSV row formatting, shared by ``cli._write_rows`` and the helper process.
+"""CSV row formatting, shared by ``cli._block_text`` and the helper process.
 
 The module uses the standard library only, so that it also runs as a script
-in a bare interpreter (``python -I -S _csvrows.py FD ENCODING``), which starts
-without numpy and without ``site``.  As a script it formats frames of rows,
-each with one %-format.  The parent writes each frame to the file open as
-descriptor FD, after the frames before it, and then announces it with one
-line on stdin, its size in bytes.  A frame is one JSON line ``{"rows": r,
-"cols": k, "formats": [...]}``, then the int64 format key of each of its r
-rows, then the float64 values of the rows, k a row, both in native byte
-order.  A frame stands alone: key j is the j-th of its own ``formats``.  At
-the end of stdin the script writes the text of every frame, in order and in
-the encoding ENCODING, to stdout.  A frame that is shorter than announced, or
-whose size is not that of its rows, ends the script with an error.
+in a bare interpreter (``python -I -S _csvrows.py FRAMES_FD OUT_FD
+ENCODING``), which starts without numpy and without ``site``.  As a script it
+formats frames of rows, each with one %-format.  The parent writes each frame
+to the file open as descriptor FRAMES_FD, after the frames before it, and
+then announces it with one line on stdin, its size in bytes.  A frame is one
+JSON line ``{"rows": r, "cols": k, "formats": [...]}``, then the int64 format
+key of each of its r rows, then the float64 values of the rows, k a row, both
+in native byte order.  A frame stands alone: key j is the j-th of its own
+``formats``.  The script formats each frame as it is announced, appends its
+text, in the encoding ENCODING, to the file open as descriptor OUT_FD (opened
+for appending by the parent, which writes to it only once the script has
+reported every frame), and then reports the frame finished with one line on
+stdout.  A frame
+that is shorter than announced, or whose size is not that of its rows, ends
+the script with an error.
 """
 import json
 import os
@@ -26,8 +30,9 @@ def format_rows(formats, keys, values):
 
 
 def main() -> None:
-    fd, encoding = int(sys.argv[1]), sys.argv[2]
-    text, offset = [], 0
+    fd, encoding = int(sys.argv[1]), sys.argv[3]
+    out, done = open(int(sys.argv[2]), "wb"), sys.stdout.buffer
+    offset = 0
     for line in sys.stdin.buffer:
         size = int(line)
         # pread leaves alone the file position, which the parent shares
@@ -43,11 +48,10 @@ def main() -> None:
         frame = memoryview(data)
         keys = frame[start:start + 8 * rows].cast("q")
         values = frame[start + 8 * rows:].cast("d")
-        # formatted as the frames come, written when the parent asks for them
-        text.append(format_rows(formats, keys, values).encode(encoding))
-    out = sys.stdout.buffer
-    out.writelines(text)
-    out.flush()
+        out.write(format_rows(formats, keys, values).encode(encoding))
+        out.flush()   # the text is in the file before the frame is reported
+        done.write(b"\n")
+        done.flush()
 
 
 if __name__ == "__main__":

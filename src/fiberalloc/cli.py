@@ -7,20 +7,25 @@ output header (foliation draws its task directions from it).  CSV output
 uses a header row and 17 significant digits so doubles round-trip losslessly.
 Rows go from file to text in blocks of BLOCK_ROWS, each formatted with one
 %-format.  fibers and foliation format every block in process.  When more
-than one CPU is available, a long lift has most of its blocks formatted by a
-standard-library-only helper process (``_csvrows.py``).  There is one lift
-loop: it reads its trajectory a block at a time, in sample order, and lifts
-each block after the sample before it.  It sends the blocks that start
-before the trajectory's last bytes to the helper at once, one frame a block,
-so that the helper formats them while the trajectory is still being read and
-solved, and keeps the rest as blocks (every block, without a helper), which
-it formats and writes after the helper's text.  A frame stands alone: one
-JSON line with the row count and the formats of the block's distinct masks,
-then the rows' keys into that list and their values, written to an unnamed
-temporary file and announced by one line on the helper's stdin, so that
-sending never waits for the helper.  The bytes written are the same as when
-every row is formatted in process, and a lift that fails reports the first
-error of its first bad block, with a helper or without.
+than one CPU is available, a long lift shares its blocks with a
+standard-library-only helper process (``_csvrows.py``), split by the
+helper's own progress.  There is one lift loop: it reads its trajectory a
+block at a time, in sample order, lifts each block after the sample before
+it, and queues it.  The helper is sent the oldest queued block whenever it
+has fewer than HELPER_BACKLOG frames it has not reported finished, so that
+it formats blocks while the trajectory is still being read and solved.
+After the last block the queued blocks are cut in quarters, and the lift
+formats them from the newest back while the helper takes them from the
+oldest, so that the helper's blocks are a prefix of the file.  The helper appends its text straight to the output
+file, a new file under a temporary name whose descriptor it is given; once
+it has finished, the lift appends its own text and moves the file onto the
+output path.  A frame stands alone: one JSON line with the row count and the
+formats of the block's distinct masks, then the rows' keys into that list
+and their values, written to an unnamed temporary file and announced by one
+line on the helper's stdin, so that sending never waits for the helper.  The
+bytes written are the same as when every row is formatted in process, and a
+lift that fails reports the first error of its first bad block, with a
+helper or without, and leaves no file behind.
 
 Exit codes: 0 success, 1 validation error, 2 solver error, 3 I/O error.  A
 ValueError, WrongShapeError, RankDeficientError or DegenerateRedundancyError
@@ -37,6 +42,7 @@ import shutil
 import sys
 import tempfile
 import warnings
+from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -64,22 +70,22 @@ from .strata import (
 
 SELF_CHECK_TOL = 1e-8
 #: Rows in a block, from file to text: a lift reads and solves a trajectory a
-#: block at a time and sends a block to a helper as one frame, and every CSV
-#: is formatted a block at a time, with one %-format, which bounds the memory
-#: the text of a block takes.
+#: block at a time and sends a block to a helper as one frame (a quarter
+#: block, after its last block), and every CSV is formatted a block at a
+#: time, with one %-format, which bounds the memory the text of a block
+#: takes.
 BLOCK_ROWS = 4096
 #: Samples from which a lift shares its rows with a helper process, when more
-#: than one CPU is free.  The helper takes about 9 ms to start (2-vCPU AMD
-#: EPYC), the time of formatting some 6k rows; the share it takes over is
-#: well past that, and a lift starts it before it reads its trajectory.
+#: than one CPU is free.  The helper takes about 30 ms from its start to its
+#: first frame's report (2-vCPU Intel Xeon, formatting 4.3 us a row), the
+#: time of formatting some 7k rows; the share it takes over is well past
+#: that, and a lift starts it before it reads its trajectory.
 HELPER_ROWS = 8 * BLOCK_ROWS
-#: The share of a trajectory's bytes, at its end, whose blocks a lift with a
-#: helper keeps to format itself, after it has read, solved and sent the
-#: blocks before them to the helper.  Reading and solving take about 0.7 us a
-#: row and formatting 1.45 us (2-vCPU AMD EPYC), so the two processes finish
-#: together for 0.7 + 1.45 h = 1.45 (1 - h), h = 0.26, and a little later for
-#: the helper's start-up and first block: 0.3.
-LIFT_OWN_SHARE = 0.3
+#: The frames a lift's helper may have been sent and not yet finished.  The
+#: lift sends it the oldest block it has queued whenever it has fewer, so the
+#: helper has its next frame at hand as it finishes one, and the blocks the
+#: lift formats itself at its end are those the helper has not reached.
+HELPER_BACKLOG = 2
 _HELPER = Path(__file__).with_name("_csvrows.py")
 
 _VALIDATION_ERRORS = (WrongShapeError, RankDeficientError,
@@ -94,11 +100,13 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper():
+def _start_helper(out_fd: int):
     """A helper process (``_csvrows.py``) that formats the frames written to
     ``helper.frames``, an unnamed temporary file, as its stdin announces
-    them, and writes their text to its stdout pipe at the end of its stdin;
-    None when it cannot be started."""
+    them, appends their text to the file open as descriptor ``out_fd``, and
+    reports each frame finished with one line on its stdout, which is read
+    without blocking; None when it cannot be started.  ``helper.sent`` and
+    ``helper.done`` count the frames sent and reported finished."""
     import locale
     import subprocess
     try:
@@ -108,20 +116,22 @@ def _start_helper():
     fd = frames.fileno()
     try:
         helper = subprocess.Popen(
-            [sys.executable, "-I", "-S", str(_HELPER), str(fd),
+            [sys.executable, "-I", "-S", str(_HELPER), str(fd), str(out_fd),
              locale.getpreferredencoding(False)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
-            pass_fds=(fd,))
+            pass_fds=(fd, out_fd))
     except OSError:
         frames.close()
         return None
-    helper.frames = frames
+    os.set_blocking(helper.stdout.fileno(), False)
+    helper.frames, helper.sent, helper.done = frames, 0, 0
     return helper
 
 
 @contextmanager
-def _csv_helper(rows: int):
-    """The helper process of a lift of about ``rows`` samples, or None.
+def _csv_helper(rows: int, out_fd: int):
+    """The helper process of a lift of about ``rows`` samples, writing to the
+    file open as descriptor ``out_fd``, or None.
 
     One is started from HELPER_ROWS samples on, when more than one CPU is
     free, before the trajectory is read, so that its start-up overlaps the
@@ -130,7 +140,8 @@ def _csv_helper(rows: int):
     killed on an error in the block and always reaped on leaving it, and its
     file closed.
     """
-    helper = _start_helper() if rows >= HELPER_ROWS and _cpus() > 1 else None
+    helper = (_start_helper(out_fd) if rows >= HELPER_ROWS and _cpus() > 1
+              else None)
     if helper is None:
         yield None
         return
@@ -159,11 +170,73 @@ def _feed_helper(helper, formats: dict, masks: np.ndarray,
     frames.write(memoryview(index))
     frames.write(memoryview(values))
     frames.flush()
+    helper.sent += 1
     try:
         helper.stdin.write(b"%d\n" % (len(header) + index.nbytes
                                        + values.nbytes))
     except BrokenPipeError:
         pass
+
+
+def _share_with_helper(helper, formats: dict, blocks: deque) -> None:
+    """Send ``helper`` the oldest of ``blocks``, one frame a block, while it
+    has fewer than HELPER_BACKLOG frames it has not reported finished."""
+    helper.done += (helper.stdout.read(1 << 16) or b"").count(b"\n")
+    while blocks and helper.sent - helper.done < HELPER_BACKLOG:
+        _feed_helper(helper, formats, *blocks.popleft())
+
+
+def _finish_helper(helper) -> None:
+    """End ``helper``'s frames and wait until it has reported every frame
+    finished, or has exited."""
+    helper.stdin.close()
+    os.set_blocking(helper.stdout.fileno(), True)
+    while helper.done < helper.sent and (lines := helper.stdout.read(1 << 16)):
+        helper.done += lines.count(b"\n")
+
+
+def _reap_helper(helper, path: Path) -> None:
+    """Wait for ``helper`` to exit.  A helper that fails, or that exits
+    before it has reported every frame finished, raises OSError naming the
+    CSV ``path``."""
+    if helper.wait():
+        raise OSError(f"{path}: the CSV row helper exited with code "
+                      f"{helper.returncode}")
+    if helper.done != helper.sent:
+        raise OSError(f"{path}: the CSV row helper finished {helper.done} of "
+                      f"{helper.sent} frames")
+
+
+def _write_blocks(out, helper, path: Path, formats: dict,
+                  blocks: deque) -> None:
+    """Append to ``out``, the new CSV for ``path``, the text of the lifted
+    ``blocks`` that this process formats, in order, a block with one
+    %-format.
+
+    Without a helper that is every block, each formatted as it is written.
+    With one, the blocks are cut in quarters, so that the two processes end
+    within about a quarter block's time of each other, and this process
+    formats them from the newest back, while the helper still takes the
+    oldest (:func:`_share_with_helper`): the helper's text stays a prefix of
+    the file.  This process appends its text once the helper has reported
+    every frame finished, while the helper exits, and then reaps it
+    (:func:`_reap_helper`).
+    """
+    if helper is None:
+        out.writelines(_block_text(formats, *block) for block in blocks)
+        return
+    step = BLOCK_ROWS // 4
+    blocks = deque((masks[lo:lo + step], values[lo:lo + step])
+                   for masks, values in blocks
+                   for lo in range(0, len(values), step))
+    own = []
+    while blocks:
+        _share_with_helper(helper, formats, blocks)
+        if blocks:
+            own.append(_block_text(formats, *blocks.pop()))
+    _finish_helper(helper)
+    out.writelines(reversed(own))
+    _reap_helper(helper, path)
 
 
 def _add_row_formats(formats: dict, model: AllocationModel | None,
@@ -179,40 +252,32 @@ def _add_row_formats(formats: dict, model: AllocationModel | None,
         formats[k] = ",".join(cols[:at] + text + cols[at:]) + "\r\n"
 
 
+def _block_text(formats: dict, masks: np.ndarray, values: np.ndarray) -> str:
+    """The text of the rows ``values`` (C-ordered), row k in the format
+    ``formats[masks[k]]``, with one %-format."""
+    return format_rows(formats, masks.tolist(), memoryview(values.reshape(-1)))
+
+
+def _csv_head(header: list[str], seed) -> str:
+    """A CSV's comment line and header row (fixed names, which need no
+    quoting)."""
+    return (f"# fiberalloc {__version__} seed={seed}\n" + ",".join(header)
+            + "\r\n")
+
+
 def _write_csv(path: Path, header: list[str], values: np.ndarray, seed,
                model: AllocationModel | None = None,
                masks: np.ndarray | None = None, at: int | None = None) -> None:
     """Float rows, and optionally orthant signatures, as csv.writer would
-    write them, after a comment line and the header row (fixed names, which
-    need no quoting).
+    write them, after a comment line and the header row.
 
     Floats get 17 significant digits.  With ``masks``, row k also gets the
     orthant signature of ``masks[k]`` (bit i set when v_i > 0), quoted (its
     commas make csv.writer quote it), before column ``at`` of ``values``
     (after the last one when ``at`` is None).  Each distinct mask is
-    classified once, into a row format of its own, and the rows are written
-    in blocks of BLOCK_ROWS, all in process: only a lift shares its rows with
-    a helper (:func:`_csv_helper`).
-    """
-    values = np.ascontiguousarray(values, dtype=float)
-    if masks is None:
-        masks = np.zeros(len(values), np.int64)
-    formats = {}
-    _add_row_formats(formats, model, values.shape[1], at, masks)
-    _write_rows(path, header, seed, formats,
-                ((masks[lo:lo + BLOCK_ROWS], values[lo:lo + BLOCK_ROWS])
-                 for lo in range(0, len(values), BLOCK_ROWS)))
-
-
-def _write_rows(path: Path, header: list[str], seed, formats: dict, blocks,
-                helper=None) -> None:
-    """Write the CSV of :func:`_write_csv`: the comment line, the header row,
-    the text of every frame sent to ``helper``, unless it is None, then the
-    rows of each block ``(masks, values)`` of ``blocks`` (values C-ordered) in
-    the ``formats`` of their masks, a block with one %-format.  Each block is
-    formatted as it is written; with a helper, every block is formatted after
-    the end of its stdin and before its text is copied, while it formats its
-    last frames.  A helper that fails raises OSError.
+    classified once, into a row format of its own, and the rows are
+    formatted and written in blocks of BLOCK_ROWS, all in process: only a
+    lift shares its rows with a helper (:func:`_csv_helper`).
 
     A file already at ``path`` is replaced, not truncated: it is unlinked
     and a new file made, because a truncated file waits for the writeback
@@ -221,23 +286,70 @@ def _write_rows(path: Path, header: list[str], seed, formats: dict, blocks,
     bytes, a symlink at ``path`` is replaced rather than written through,
     and the new file gets the default mode.
     """
+    values = np.ascontiguousarray(values, dtype=float)
+    if masks is None:
+        masks = np.zeros(len(values), np.int64)
+    formats = {}
+    _add_row_formats(formats, model, values.shape[1], at, masks)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# fiberalloc {__version__} seed={seed}\n" + ",".join(header)
-                 + "\r\n")
-        rows = (format_rows(formats, masks.tolist(),
-                            memoryview(values.reshape(-1)))
-                for masks, values in blocks)
-        if helper is not None:
-            helper.stdin.close()   # the helper writes its text at its end
-            rows = list(rows)
-            fh.flush()
-            shutil.copyfileobj(helper.stdout, fh.buffer, 1 << 16)
-        fh.writelines(rows)
-    if helper is not None and helper.wait():
-        raise OSError(f"{path}: the CSV row helper exited with code "
-                      f"{helper.returncode}")
+        fh.write(_csv_head(header, seed))
+        fh.writelines(_block_text(formats, masks[lo:lo + BLOCK_ROWS],
+                                  values[lo:lo + BLOCK_ROWS])
+                      for lo in range(0, len(values), BLOCK_ROWS))
+
+
+@contextmanager
+def _replacing(path: Path, head: str):
+    """A new file, open for appending text, that starts with ``head`` and
+    takes the place of the file at ``path`` at the end of the block.
+
+    The directories missing on the way to ``path`` are made, and the file is
+    made next to ``path`` under a temporary name, with the default mode.  At
+    the end of the block it is closed, the file at ``path`` is unlinked, and
+    the new one renamed to ``path``: a file already there is never written,
+    so a hard link to it elsewhere keeps its bytes, and a symlink at
+    ``path`` is replaced rather than written through.  On an error the new
+    file is removed, and so are the directories made for it, so nothing is
+    left behind and the file at ``path`` keeps its bytes.  The file is open
+    for appending, so that a helper given its descriptor adds its text at
+    the end.
+    """
+    made = []   # the missing directories, the deepest first
+    for directory in (path.parent, *path.parent.parents):
+        if directory.exists():
+            break
+        made.append(directory)
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        while tmp is None:
+            name = path.with_name(f".{path.name}.{os.urandom(4).hex()}")
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                             | os.O_APPEND, 0o666)
+            except FileExistsError:
+                continue
+            tmp = name
+        with open(fd, "w", newline="") as fh:
+            fh.write(head)
+            fh.flush()   # before a helper appends to the file
+            yield fh
+        # the old file goes first: on ext4 a rename over a file starts the
+        # writeback of the new one (auto_da_alloc), some 14 ms for a 13 MB
+        # lift CSV, and the disk writes that follow slow the next run
+        path.unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except BaseException:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:   # something else has been put there since
+                break
+        raise
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -405,30 +517,37 @@ def _read_rows(path, fh, first_row: int) -> np.ndarray:
 def _lift(model: AllocationModel, layer: int | None, args, path: Path,
           header: list[str]):
     """The lift of :func:`cmd_lift`: it reads the trajectory, lifts it
-    (:func:`lift_block`) and writes every row.  Returns the lift's ``(speed,
-    min_abs_v, masks)``.
+    (:func:`lift_block`) and writes every row to ``path``.  Returns the
+    lift's ``(speed, min_abs_v, masks)``.
 
-    The trajectory's first row, after its ``#`` comment lines, is its header
-    row; one whose every field is a number is a ValueError, since it would
-    be a sample lost.  A helper process (see :func:`_csv_helper`) starts
-    next, for a trajectory whose size is that of HELPER_ROWS lines like its
-    first sample's.  Then each block of BLOCK_ROWS samples is read and lifted
-    after the sample before it.  A block that starts before the last
-    LIFT_OWN_SHARE of the samples' bytes is sent to the helper as one frame,
-    so that the helper formats it while this process reads on; the others,
-    and every block of a lift without a helper, are kept as blocks, and
-    formatted and written after the helper's text.
+    The trajectory's first row, after its ``#`` comment lines and blank
+    lines, is its header row; one whose every field is a number is a
+    ValueError, since it would be a sample lost.  The CSV's comment line and
+    header row go to a new file (:func:`_replacing`), and a helper process
+    (see :func:`_csv_helper`) starts next, for a trajectory whose size is
+    that of HELPER_ROWS lines like its first sample's.  Then each block of
+    BLOCK_ROWS samples is read and lifted after the sample before it, and
+    queued.  The helper is sent the oldest queued block, as one frame,
+    whenever it has fewer than HELPER_BACKLOG frames it has not finished, so
+    that it formats the blocks and appends their text to the file while this
+    process reads on.  After the last block this process formats the queued
+    blocks, in quarters, from the newest back, while the helper still takes
+    the oldest; once the helper has finished, it appends their text, and the
+    file replaces ``path`` (:func:`_write_blocks`).  Without a helper it
+    formats and writes every block.
 
     The first block that fails raises its first error, in the order of
     :func:`lift_block`: a row that does not parse, then a bad time stamp,
     then a sample that cannot be solved, a speed that is not finite, an
     orthant change.  The blocks depend on the file alone, so a lift fails
-    alike with a helper and without, and writes no file.
+    alike with a helper and without, and leaves no file: the file at
+    ``path`` keeps its bytes.
     """
     lift = partial(lift_block, model, allocator=args.allocator, layer=layer,
                    C=args.C)
     with open(args.trajectory) as fh:
-        while (line := fh.readline()).startswith("#"):   # then the header row
+        # then the header row ("" at the end of the file)
+        while (line := fh.readline()).startswith("#") or line.isspace():
             pass
         try:   # a header row of numbers is a sample, which would be lost
             [float(field) for field in line.split(",")]
@@ -440,29 +559,27 @@ def _lift(model: AllocationModel, layer: int | None, args, path: Path,
         start = fh.tell()
         first = fh.readline()
         fh.seek(start)
-        end = os.fstat(fh.fileno()).st_size
-        keep_from = end - LIFT_OWN_SHARE * (end - start)
-        with _csv_helper((end - start) // max(len(first), 1)) as helper:
-            formats, parts, kept, rows, before = {}, [], [], 0, None
-            while True:
-                at = fh.buffer.tell()   # fh.tell() fails after a loadtxt
-                if not len(block := _read_rows(args.trajectory, fh, rows)):
-                    break
+        # the samples there are if every line is as long as the first
+        samples = ((os.fstat(fh.fileno()).st_size - start)
+                   // max(len(first), 1))
+        with _replacing(path, _csv_head(header, args.seed)) as out, \
+                _csv_helper(samples, out.fileno()) as helper:
+            formats, parts, queue, rows, before = {}, [], deque(), 0, None
+            while len(block := _read_rows(args.trajectory, fh, rows)):
                 t = block[:, 0]
                 v, speed, min_abs_v, masks = lift(
                     t, block[:, 1:], first_row=rows, before=before)
                 values = np.column_stack([t, v, speed, min_abs_v])
                 _add_row_formats(formats, model, values.shape[1], None, masks)
-                if helper is not None and at < keep_from:
-                    _feed_helper(helper, formats, masks, values)
-                else:
-                    kept.append((masks, values))
+                queue.append((masks, values))
+                if helper is not None:
+                    _share_with_helper(helper, formats, queue)
                 parts.append((speed, min_abs_v, masks))
                 before, rows = (t[-1], v[-1]), rows + len(block)
             if not rows:
                 raise ValueError(f"{args.trajectory}: the trajectory file has "
                                  "no samples")
-            _write_rows(path, header, args.seed, formats, kept, helper)
+            _write_blocks(out, helper, path, formats, queue)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

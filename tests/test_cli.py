@@ -689,24 +689,33 @@ class TestCsvHelper:
     @pytest.mark.parametrize("allocator", ["extremal", "section", "naive"])
     def test_lift(self, model2_file, tmp_path, monkeypatch, helpers,
                   allocator):
-        # 501 rows: 4 frames of 64 rows (the helper's file reads ahead of
-        # the lift by 8 kB), then 245 rows kept
+        # 501 rows, 7 blocks of 64 and one of 53: whichever of them the
+        # helper takes, by its own progress, every block or none, the bytes
+        # are those of a lift in process
         flags = ["--allocator", allocator]
         ref = self.lift(model2_file, tmp_path, "ref", *flags)
         assert helpers == []
         monkeypatch.setattr(cli, "HELPER_ROWS", 100)
-        out = self.lift(model2_file, tmp_path, "out", *flags)
-        assert [h.returncode for h in helpers] == [0]
-        for name in (f"lift_{allocator}.csv", f"lift_{allocator}.json"):
-            assert (out / name).read_bytes() == (ref / name).read_bytes()
+        default = cli.HELPER_BACKLOG
+        for backlog in (default, 10**6, 0):
+            monkeypatch.setattr(cli, "HELPER_BACKLOG", backlog)
+            fed = self.frames_fed(monkeypatch)
+            out = self.lift(model2_file, tmp_path, f"out{backlog}", *flags)
+            if backlog == default:   # the first blocks are sent as lifted
+                assert fed[:default] == [64] * default
+            else:
+                assert fed == ([64] * 7 + [53] if backlog else [])
+            for name in (f"lift_{allocator}.csv", f"lift_{allocator}.json"):
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
+        assert [h.returncode for h in helpers] == [0] * 3
 
     @pytest.mark.parametrize("helper_rows", [None, 100],
                              ids=["in-process", "pipelined"])
     def test_a_lift_replaces_the_previous_csv(self, model2_file, tmp_path,
                                               monkeypatch, helpers,
                                               helper_rows):
-        # the old file is unlinked, not truncated: a hard link to it keeps
-        # its bytes, and a lift that fails leaves it as it is
+        # the old file is replaced, not written: a hard link to it keeps its
+        # bytes, and a lift that fails leaves it as it is
         if helper_rows is not None:
             monkeypatch.setattr(cli, "HELPER_ROWS", helper_rows)
         csv_path = self.lift(model2_file, tmp_path, "out", "--C=0.5") / \
@@ -735,14 +744,16 @@ class TestCsvHelper:
     def test_helper_that_takes_every_block(self, model2_file, tmp_path,
                                            monkeypatch, capsys, helpers):
         # a first line of 4 bytes makes 60 samples look like some 500: the
-        # helper starts, and their one block starts before the last bytes
+        # helper starts, and is sent their one block as soon as it is lifted
         traj = Path(write_trajectory(tmp_path))
         lines = traj.read_text().splitlines(keepends=True)
         assert lines[1] == "0,0\n"
         traj.write_text("".join(lines[:61]))
+        fed = self.frames_fed(monkeypatch)
         runs = self.lift_both_ways(model2_file, tmp_path, monkeypatch, capsys,
                                    traj)
         assert [h.returncode for h in helpers] == [0]
+        assert fed == [60]
         assert runs[0] == runs[1]
         assert runs[0][0].count(b"\r\n") == 61
 
@@ -934,13 +945,16 @@ class TestCsvHelper:
 
     def fail_both_ways(self, model_file, tmp_path, monkeypatch, capsys,
                        helpers, traj, *flags):
-        """The frames a pipelined lift of ``traj`` sent before it failed.
+        """The frames a pipelined lift of ``traj`` sent before it failed,
+        with HELPER_BACKLOG so large that the helper is sent every block as
+        soon as it is lifted.
 
         It fails as the lift in process alone (one CPU) does: the same exit
         code and error text, and no file.  Its helper is killed and reaped.
         """
         fed = self.frames_fed(monkeypatch)
         monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        monkeypatch.setattr(cli, "HELPER_BACKLOG", 10**6)
         runs = []
         for cpus in ({0, 1}, {0}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
@@ -975,7 +989,8 @@ class TestCsvHelper:
             tmp_path, lambda k, t, w: t if k == 400 else None)
         fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
                                        capsys, helpers, traj)
-        assert fed   # the blocks before the ragged row went to the helper
+        # the blocks before the ragged row's, the seventh, went to the helper
+        assert fed == [64] * 6
         assert err.startswith(f"validation error: {traj}: ")
         assert "number of columns changed" in err
         assert "at row 401;" in err   # counted from the trajectory's start
@@ -988,7 +1003,7 @@ class TestCsvHelper:
             lambda k, t, w: f"{times[399]:.17g},{w}" if k == 400 else None)
         fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
                                        capsys, helpers, traj)
-        assert fed
+        assert fed == [64] * 6
         assert err == ("validation error: time stamps must be finite and "
                        "strictly increasing: sample 400 has "
                        f"t = {times[399]:g}\n")
@@ -1026,6 +1041,68 @@ class TestCsvHelper:
         assert runs == [[(ref / name).read_bytes() for name in
                          ("lift_extremal.csv", "lift_extremal.json")]] * 2
 
+    def test_blank_lines_before_the_header_are_skipped(
+            self, model2_file, tmp_path, monkeypatch, capsys, helpers):
+        # as comment lines are, on one CPU and on two; the end of the file
+        # still ends the search for the header row
+        ref = self.lift(model2_file, tmp_path, "ref")
+        traj = Path(write_trajectory(tmp_path))
+        traj.write_text("\n\r\n \n# fiberalloc\n\n" + traj.read_text())
+        runs = self.lift_both_ways(model2_file, tmp_path, monkeypatch, capsys,
+                                   traj)
+        assert [h.returncode for h in helpers] == [0]
+        assert runs == [[(ref / name).read_bytes() for name in
+                         ("lift_extremal.csv", "lift_extremal.json")]] * 2
+        traj.write_text("\n\n")
+        assert main(["lift", "--model", model2_file, "--trajectory", str(traj),
+                     "--out", str(tmp_path / "blank")]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {traj}: the trajectory file has no samples\n")
+        assert not (tmp_path / "blank").exists()
+
+    @pytest.mark.parametrize("failure", ["bad-block", "helper-exits-1",
+                                         "helper-exits-0", "helper-killed"])
+    def test_a_failed_lift_leaves_nothing_behind(
+            self, model2_file, tmp_path, monkeypatch, capsys, helpers,
+            failure):
+        # no temporary file and no directory of its making, and the CSV of
+        # an earlier lift keeps its bytes
+        old = self.lift(model2_file, tmp_path, "old", "--C=0.5")
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        assert sorted(before) == ["lift_extremal.csv", "lift_extremal.json"]
+        traj = write_trajectory(tmp_path)
+        monkeypatch.setattr(cli, "HELPER_ROWS", 100)
+        if failure == "bad-block":
+            traj = self.edited_trajectory(
+                tmp_path, lambda k, t, w: f"{t},nan" if k == 400 else None)
+            rc, err, code = 2, "sample 400 (t = ", -signal.SIGKILL
+        elif failure == "helper-killed":
+            lift_block = cli.lift_block
+
+            def lift(*args, first_row, **kwargs):
+                if first_row == 4 * cli.BLOCK_ROWS:
+                    helpers[-1].kill()
+                return lift_block(*args, first_row=first_row, **kwargs)
+            monkeypatch.setattr(cli, "lift_block", lift)
+            code = -signal.SIGKILL
+            rc, err = 3, f"the CSV row helper exited with code {code}"
+        else:   # one that starts, and exits before it reads a frame
+            script = tmp_path / "helper"
+            script.write_text(f"#!/bin/sh\nexit {failure[-1]}\n")
+            script.chmod(0o755)
+            monkeypatch.setattr(sys, "executable", str(script))
+            code = int(failure[-1])
+            rc, err = 3, ("the CSV row helper exited with code 1" if code
+                          else "the CSV row helper finished 0 of 2 frames")
+        for out in (tmp_path / "new" / "out", old):
+            assert main(["lift", "--model", model2_file, "--trajectory",
+                         str(traj), "--out", str(out)]) == rc
+            assert f"{out / 'lift_extremal.csv'}: " * (rc == 3) + err in \
+                capsys.readouterr().err
+        assert [h.returncode for h in helpers] == [code] * 2
+        assert not (tmp_path / "new").exists()
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
     def test_speed_overflow_in_the_tail(self, model2_file, tmp_path,
                                         monkeypatch, capsys, helpers):
         # t = k - 399, but 1e-320 at sample 400: a step whose speed overflows
@@ -1034,22 +1111,16 @@ class TestCsvHelper:
             lambda k, t, w: f"{1e-320 if k == 400 else k - 399:.17g},{w}")
         fed, err = self.fail_both_ways(model2_file, tmp_path, monkeypatch,
                                        capsys, helpers, traj)
-        assert fed
+        assert fed == [64] * 6
         assert err == ("validation error: the speed |dv|/dt of sample 400 "
                        "(t = 9.99989e-321) is not finite: inf\n")
 
     @pytest.fixture()
     def head_flips(self, model2_file, tmp_path, monkeypatch, helpers):
-        """The first sample that a pipelined lift of write_trajectory's file
-        keeps for itself, after the samples it sends to the helper, where a
-        solve that flips the state of every later sample puts the lift's one
-        orthant change."""
-        with monkeypatch.context() as patch:
-            fed = self.frames_fed(patch)
-            patch.setattr(cli, "HELPER_ROWS", 100)
-            self.lift(model2_file, tmp_path, "unflipped")
-        helpers.clear()
-        boundary = sum(fed)
+        """The first sample of the fifth block, where a solve that flips the
+        state of every later sample puts the lift's one orthant change: the
+        blocks on either side of it may go to the helper or not."""
+        boundary = 4 * cli.BLOCK_ROWS
 
         def flipping(model, W, layer, C, t=None, first_row=0):
             V = np.tile(model.c, (len(W), 1))
@@ -1067,69 +1138,90 @@ class TestCsvHelper:
                                        write_trajectory(tmp_path))
         boundary = head_flips
         assert 0 < boundary < 501
-        assert sum(fed) == boundary   # the first block kept fails
+        assert sum(fed) == boundary   # the block after the change fails
         assert err == (f"solver error: extremal lift changed orthant signature "
                        f"at sample {boundary}; confinement violated\n")
 
     def test_orthant_change_at_the_head_is_counted(
             self, model2_file, tmp_path, monkeypatch, helpers, head_flips):
+        # whichever blocks the helper takes: by its own progress, every
+        # block, or none
         monkeypatch.setattr(cli, "HELPER_ROWS", 100)
-        out = self.lift(model2_file, tmp_path, "out", "--allocator", "section")
-        assert [h.returncode for h in helpers] == [0]
+        outs = []
+        for backlog in (cli.HELPER_BACKLOG, 10**6, 0):
+            monkeypatch.setattr(cli, "HELPER_BACKLOG", backlog)
+            outs.append(self.lift(model2_file, tmp_path, f"out{backlog}",
+                                  "--allocator", "section"))
+        assert [h.returncode for h in helpers] == [0] * 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         ref = self.lift(model2_file, tmp_path, "ref", "--allocator", "section")
-        assert len(helpers) == 1
-        summary = json.loads((out / "lift_section.json").read_text())
-        assert summary["signature_changes"] == 1
-        for name in ("lift_section.csv", "lift_section.json"):
-            assert (out / name).read_bytes() == (ref / name).read_bytes()
+        assert len(helpers) == 3
+        for out in outs:
+            summary = json.loads((out / "lift_section.json").read_text())
+            assert summary["signature_changes"] == 1
+            for name in ("lift_section.csv", "lift_section.json"):
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestHelperFrames:
     """The helper formats the frames it is sent as the rows are formatted in
-    process, and a frame it cannot read ends it with an error that the CSV
-    write reports."""
+    process, appends their text to the output file and reports each frame
+    finished, and a frame it cannot read ends it with an error that the end
+    of its frames reports."""
 
     HEADER = ["a", "b", "c", "d", "orthant"]
 
     @pytest.fixture()
     def helper(self, monkeypatch):
         """A helper, with blocks of 8 rows, started in the test's call (so
-        that capfd has its stderr)."""
+        that capfd has its stderr), that appends to a new file replacing
+        ``path`` at the end of the block."""
         monkeypatch.setattr(cli, "BLOCK_ROWS", 8)
 
         @contextmanager
-        def started():
-            helper = cli._start_helper()
-            with helper.frames, helper:
-                yield helper
+        def started(path, header):
+            with cli._replacing(path, cli._csv_head(header, 3)) as out:
+                helper = cli._start_helper(out.fileno())
+                with helper.frames, helper:
+                    yield helper
         return started
 
-    def test_wire_format(self):
+    def test_wire_format(self, tmp_path):
         # a frame of 3 rows, a zero-row frame, and frames that stand alone:
-        # the third repeats the first's format, under its own key 1
+        # the third repeats the first's format, under its own key 1; the
+        # text is appended to the output file, after what it held, and each
+        # frame is reported by one line
         frames = [({"rows": 3, "cols": 2, "formats": ["%.17g,%.17g,a\r\n"]},
                    [0, 0, 0], [1.0, 2.0, 3.0, 4.0, 0.5, -0.0]),
                   ({"rows": 0, "cols": 2, "formats": []}, [], []),
                   ({"rows": 2, "cols": 2, "formats": ["%.17g;%.17g,b\r\n",
                                                       "%.17g,%.17g,a\r\n"]},
                    [0, 1], [1e300, np.inf, np.nan, 5e-324])]
-        with tempfile.TemporaryFile() as fh:
-            sizes = []
-            for header, keys, values in frames:
-                data = (json.dumps(header).encode() + b"\n"
-                        + struct.pack(f"{len(keys)}q", *keys)
-                        + struct.pack(f"{len(values)}d", *values))
-                sizes.append(b"%d\n" % fh.write(data))
-            fh.flush()
-            proc = subprocess.run(
-                [sys.executable, "-I", "-S", str(cli._HELPER),
-                 str(fh.fileno()), "ascii"], input=b"".join(sizes),
-                capture_output=True, pass_fds=(fh.fileno(),), check=True)
-        assert proc.stdout == (b"1,2,a\r\n3,4,a\r\n0.5,-0,a\r\n"
-                               b"1.0000000000000001e+300;inf,b\r\n"
-                               b"nan,4.9406564584124654e-324,a\r\n")
+        out_path = tmp_path / "out.csv"
+        out_path.write_bytes(b"head\r\n")
+        out = os.open(out_path, os.O_WRONLY | os.O_APPEND)
+        try:
+            with tempfile.TemporaryFile() as fh:
+                sizes = []
+                for header, keys, values in frames:
+                    data = (json.dumps(header).encode() + b"\n"
+                            + struct.pack(f"{len(keys)}q", *keys)
+                            + struct.pack(f"{len(values)}d", *values))
+                    sizes.append(b"%d\n" % fh.write(data))
+                fh.flush()
+                proc = subprocess.run(
+                    [sys.executable, "-I", "-S", str(cli._HELPER),
+                     str(fh.fileno()), str(out), "ascii"],
+                    input=b"".join(sizes), capture_output=True,
+                    pass_fds=(fh.fileno(), out), check=True)
+        finally:
+            os.close(out)
+        assert proc.stdout == b"\n" * 3
+        assert out_path.read_bytes() == (
+            b"head\r\n1,2,a\r\n3,4,a\r\n0.5,-0,a\r\n"
+            b"1.0000000000000001e+300;inf,b\r\n"
+            b"nan,4.9406564584124654e-324,a\r\n")
 
     def test_frames_are_the_rows_in_process(self, tmp_path, helper):
         # several frames, one of no rows, and masks first seen in later ones;
@@ -1141,12 +1233,13 @@ class TestHelperFrames:
             masks = orthant_masks(values[:, :3])
             masks[:20] = masks[0]
             formats, bounds = {}, ((0, 20), (20, 20), (20, 21), (21, 90))
-            with helper() as h:
+            with helper(tmp_path / "out.csv", self.HEADER) as h:
                 for lo, hi in bounds:
                     cli._add_row_formats(formats, model, 4, None, masks[lo:hi])
                     cli._feed_helper(h, formats, masks[lo:hi], values[lo:hi])
-                cli._write_rows(tmp_path / "out.csv", self.HEADER, 3, formats,
-                                [], h)
+                cli._finish_helper(h)
+                cli._reap_helper(h, tmp_path / "out.csv")
+                assert h.sent == h.done == len(bounds)
                 # each frame lists the formats of its own distinct masks
                 h.frames.seek(0)
                 for lo, hi in bounds:
@@ -1168,15 +1261,18 @@ class TestHelperFrames:
         formats = {0: "%.17g,%.17g\r\n"}
         header = json.dumps({"rows": 3, "cols": 2, "formats": []}).encode()
         frame = header + b"\n" + masks.tobytes() + values.tobytes()[:-8]
-        with helper() as h, pytest.raises(
-                OSError, match="the CSV row helper exited with code 1"):
-            cli._feed_helper(h, formats, masks, values)
-            h.frames.write(frame)
-            h.frames.flush()
-            h.stdin.write(b"%d\n" % (len(frame) + (cut == "short") * 8))
-            cli._write_rows(tmp_path / "out.csv", ["a", "b"], 0, formats,
-                            [], h)
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError, match=f"{path}: the CSV row helper "
+                                          "exited with code 1"):
+            with helper(path, ["a", "b"]) as h:
+                cli._feed_helper(h, formats, masks, values)
+                h.frames.write(frame)
+                h.frames.flush()
+                h.stdin.write(b"%d\n" % (len(frame) + (cut == "short") * 8))
+                cli._finish_helper(h)
+                cli._reap_helper(h, path)
         assert "ValueError: frame of " in capfd.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 #: argv that exit inside argparse, with help, a version or a usage error
