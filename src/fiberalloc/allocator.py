@@ -85,11 +85,12 @@ def section_inverse(model: AllocationModel, w, layer: int,
     HingeProximity report naming the two smallest components.
     """
     sp = layer_point(model, w, layer, C)
-    absv = np.abs(sp.v)
-    if 0 < layer < model.n and absv.min() < HINGE_MARGIN * absv.max():
-        order = np.argsort(absv)
-        return sp, HingeProximity(index_pair=(int(order[0]), int(order[1])),
-                                  min_abs_v=float(absv[order[0]]))
+    if 0 < layer < model.n:
+        absv = np.abs(sp.v)
+        if absv.min() < HINGE_MARGIN * absv.max():
+            order = np.argsort(absv)
+            return sp, HingeProximity(index_pair=(int(order[0]), int(order[1])),
+                                      min_abs_v=float(absv[order[0]]))
     return sp, None
 
 

@@ -493,8 +493,40 @@ def cmd_invert(args) -> int:
             {"index_pair": list(report.index_pair),
              "min_abs_v": report.min_abs_v}),
     }
-    print(json.dumps(doc, indent=2))
+    sys.stdout.write(_invert_json(doc) + "\n")
     return 0
+
+
+def _json_floats(text: str) -> str:
+    """Numbers' reprs as json writes them: nan, inf and -inf as NaN, Infinity
+    and -Infinity (no finite number's repr has an n)."""
+    if "n" in text:
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_list(values: list, indent: str) -> str:
+    """``json.dumps(values, indent=2)`` of a flat list of floats and ints,
+    nested at ``indent``."""
+    if not values:
+        return "[]"
+    text = _json_floats(f",\n{indent}  ".join(map(repr, values)))
+    return f"[\n{indent}  {text}\n{indent}]"
+
+
+def _invert_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` of :func:`cmd_invert`'s document, byte
+    for byte, written from the reprs of its numbers: with an indent the json
+    module runs its pure-Python encoder, which takes about twice as long."""
+    hinge = doc["hinge_proximity"]
+    if hinge is not None:
+        hinge = (f'{{\n    "index_pair": {_json_list(hinge["index_pair"], "    ")},'
+                 f'\n    "min_abs_v": {_json_floats(repr(hinge["min_abs_v"]))}\n  }}')
+    return (f'{{\n  "w": {_json_list(doc["w"], "  ")},'
+            f'\n  "C": {_json_floats(repr(doc["C"]))},'
+            f'\n  "v": {_json_list(doc["v"], "  ")},'
+            f'\n  "actuation_check": {_json_list(doc["actuation_check"], "  ")},'
+            f'\n  "hinge_proximity": {"null" if hinge is None else hinge}\n}}')
 
 
 def _read_rows(path, fh, first_row: int) -> np.ndarray:

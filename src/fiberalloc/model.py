@@ -6,6 +6,7 @@ full row rank, and a null-space generator b whose components are all nonzero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,9 @@ def build_model(A) -> AllocationModel:
             f"singular values {s}: sigma_m/sigma_1 below {RANK_RTOL:g}"
         )
 
-    b = Vt[m]  # right singular vector spanning ker(A)
-    if b[0] < 0:
-        b = -b
-    b = b / np.linalg.norm(b)
+    b = Vt[m]  # right singular vector spanning ker(A), unit norm, b[0] > 0
+    norm = math.sqrt(b @ b)   # np.linalg.norm(b), bit for bit
+    b = b / (-norm if b[0] < 0 else norm)
 
     abs_b = np.abs(b)
     small = abs_b <= B_RTOL * abs_b.max()
@@ -100,29 +100,40 @@ def build_model(A) -> AllocationModel:
         raise DegenerateRedundancyError(i, float(abs_b[i]))
 
     A_pinv = (Vt[:m].T * (1.0 / s[:m])) @ U.T
-    c = np.sign(b) * np.sqrt(abs_b)
-    return AllocationModel(A=A.copy(), A_pinv=A_pinv, b=b.copy(), c=c)
+    return AllocationModel(A=A.copy(), A_pinv=A_pinv, b=b,
+                           c=np.copysign(np.sqrt(abs_b), b))
 
 
 def load_model(path) -> AllocationModel:
-    """Load a model from a JSON file ``{"A": [[...], ...]}``."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    rows = doc.get("A") if isinstance(doc, dict) else None
-    if not (isinstance(rows, list) and rows and all(
-            isinstance(r, list) and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                for x in r)
-            for r in rows)):
+    """Load a model from a JSON file ``{"A": [[...], ...]}``.
+
+    Raises ValueError naming the file for text that is not JSON, JSON nested
+    too deeply to read, a document of another shape, ragged rows and an
+    entry beyond the float64 range; then as :func:`build_model` does.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from exc
+    except ValueError as exc:   # JSONDecodeError, or bytes that are not text
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    rows = doc.get("A") if type(doc) is dict else None
+    if not (type(rows) is list and rows
+            and all(type(r) is list for r in rows)
+            and {type(x) for r in rows for x in r} <= {int, float}):
         raise ValueError(f'{path}: expected a JSON object with an "A" matrix, '
                          'a non-empty list of rows of numbers')
     width = {len(r) for r in rows}
     if len(width) != 1:
         raise ValueError(f"{path}: ragged matrix rows (widths {sorted(width)})")
-    return build_model(np.array(rows, dtype=float))
+    try:
+        A = np.array(rows, dtype=float)
+    except OverflowError as exc:   # an integer entry beyond the float64 range
+        raise ValueError(f"{path}: an entry of A lies beyond the float64 "
+                         f"range ({exc})") from exc
+    return build_model(A)
 
 
 def _task_rows(model: AllocationModel, W: np.ndarray) -> np.ndarray:

@@ -15,8 +15,19 @@ a sum of softplus terms and terms -ln(off_i + D - e^r), so convex, with slope
 bounded segment starts at r = ln(D/2): C_w at the midpoint picks the half
 that holds the root, and p is its end.  The extremal segments are the case
 D = inf: p is the finite end, where every component vanishes, t = +1 on layer
-n and -1 on layer 0, and the start r = (t C - K) / (1/2 ||b||_1), K = 1/2
-sum_i |b_i| ln|b_i|, lies above the root, as t C_w >= K + 1/2 ||b||_1 r.
+n and -1 on layer 0, and the solve finds the root of G(r) = t (C_w - C) =
+sum_i h_i L_i + K - t C, h_i = 1/2 |b_i|, K = sum_i h_i ln|b_i|.  As L_i >=
+max(ln off_i, r), G is bounded below by the convex piecewise-linear minorant
+M(r) = sum_i h_i max(ln off_i, r) + K - t C.  Each affine piece of M (h_i r
+for the components of a set I, h_i ln off_i for the others) lies below M, so
+its root lies above M's root, which lies above G's.  Newton starts at M's
+root, the smallest root over the pieces I_j = {i : ln off_i <= ln off_j}
+(:func:`_minorant_root`).  The piece with every component in I, whose root
+(t C - K) / (1/2 ||b||_1) was the start before, is one of them, so no row
+starts further from its root.  The stopping rule is unchanged, and so is its
+argument: Newton from a start where G >= 0 (up to G's rounding) descends onto
+the root, and a row stops on a step within rounding of r or on G <= 0, after
+a step from above, whatever the start's distance from the root.
 
 v_i = sign(u_i) sqrt|b_i| exp(1/2 L_i) is rebuilt from the logs, so there is
 no cap on lambda and no special case for roots closer to a crossing than
@@ -93,35 +104,34 @@ def layer_section(model: AllocationModel, W, layer: int,
     Raises ValueError for a non-finite C or a layer outside [0, n],
     WrongShapeError unless W has m columns (see fibers.crossings).
     """
+    _check_level(model, layer, C)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _section(model, _task_matrix(W), layer, C)
+
+
+def _check_level(model: AllocationModel, layer: int, C: float) -> None:
+    """The ValueErrors of :func:`layer_section` for C and the layer."""
     if not math.isfinite(C):
         raise ValueError("target potential level must be finite")
     if not 0 <= layer <= model.n:
         raise ValueError(f"layer must lie in [0, {model.n}]")
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    # einsum sums a row of a C-ordered batch as it sums the row alone
-    W = np.ascontiguousarray(W)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _section(model, W, layer, C)
 
 
-def _segment(model: AllocationModel, W: np.ndarray, layer: int):
-    """Per row of W the layer's segment (lo, hi), the signs sg_i = +-1 of
-    lambda - lambda*_i on it, ln off_i and the status before the solve."""
-    rows = np.arange(W.shape[0])
-    lam_star, noise = crossings(model, W)
-    if 0 < layer < model.n:
-        order = np.argsort(lam_star, axis=1)
-        bounds = order[:, layer - 1], order[:, layer]
-    else:   # one bounding crossing: the largest on layer n, the smallest on 0
-        bounds = ((lam_star.argmax(axis=1), None) if layer
-                  else (None, lam_star.argmin(axis=1)))
-    ends = []   # the layer-th and layer + 1-th crossings and their noise bounds
-    for k, beyond in zip(bounds, (-np.inf, np.inf)):
-        if k is None:   # beyond the outer crossings: unbounded, zero noise bound
-            ends.append((np.full(W.shape[0], beyond), np.zeros(W.shape[0])))
-        else:
-            ends.append((lam_star[rows, k], noise[rows, k]))
-    (lo, noise_lo), (hi, noise_hi) = ends
+def _task_matrix(W) -> np.ndarray:
+    """W as a 2-D float array in C order: einsum sums a row of a C-ordered
+    batch as it sums the row alone."""
+    return np.atleast_2d(np.ascontiguousarray(W, dtype=float))
+
+
+def _segment(lam_star: np.ndarray, noise: np.ndarray, layer: int):
+    """Per row the transitional layer's segment (lo, hi) between its
+    crossings lam_star (bounds ``noise``), the signs sg_i = +-1 of lambda -
+    lambda*_i on it, ln off_i and the status before the solve."""
+    rows = np.arange(lam_star.shape[0])
+    order = np.argsort(lam_star, axis=1)
+    k_lo, k_hi = order[:, layer - 1], order[:, layer]
+    lo, hi = lam_star[rows, k_lo], lam_star[rows, k_hi]
+    noise_lo, noise_hi = noise[rows, k_lo], noise[rows, k_hi]
     # a tie at lo makes D = 0, a REFUSED row
     entered = lam_star <= lo[:, None]
     sg = np.where(entered, 1.0, -1.0)
@@ -130,9 +140,19 @@ def _segment(model: AllocationModel, W: np.ndarray, layer: int):
     off = sg * (np.where(entered, lo[:, None], hi[:, None]) - lam_star)
     off[off <= noise + np.where(entered, noise_lo[:, None], noise_hi[:, None])] = 0.0
     status = np.where(hi - lo > noise_lo + noise_hi, SOLVED, REFUSED)
-    status[~_across_columns(np.logical_and,
-                            np.isfinite(lam_star + noise))] = OUT_OF_RANGE
     return lo, hi, sg, np.log(off), status
+
+
+def _outer_offsets(lam_star: np.ndarray, noise: np.ndarray, layer: int):
+    """Per row the extremal layer's finite end p, the largest crossing on
+    layer n and the smallest on layer 0, and ln off_i, off_i = |p -
+    lambda*_i|, zero within its own and p's noise bounds."""
+    rows = np.arange(lam_star.shape[0])
+    k = lam_star.argmax(axis=1) if layer else lam_star.argmin(axis=1)
+    p = lam_star[rows, k]
+    off = np.abs(p[:, None] - lam_star)
+    off[off <= noise + noise[rows, k][:, None]] = 0.0
+    return p, np.log(off)
 
 
 def _across_columns(op, X: np.ndarray) -> np.ndarray:
@@ -157,12 +177,17 @@ def _logaddexp(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _section(model: AllocationModel, W: np.ndarray, layer: int,
              C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The segment solve of the module docstring, for layer_section; the
-    set-up arrays of :func:`_segment` are freed before the Newton steps."""
-    lo, hi, sg, log_off, status = _segment(model, W, layer)
+    """The segment solve of the module docstring, for layer_section, on a
+    C-ordered float W; the set-up arrays are freed before the Newton steps."""
+    lam_star, noise = crossings(model, W)
+    finite = _across_columns(np.logical_and, np.isfinite(lam_star + noise))
     half_b = 0.5 * np.abs(model.b)
-    offset = _rowwise_matvec(sg, (half_b * np.log(np.abs(model.b)))[None, :])[:, 0] - C
+    # K = 1/2 sum_i |b_i| ln|b_i|, signed by sg_i on a transitional layer
+    K_terms = (half_b * np.log(np.abs(model.b)))[None, :]
     if 0 < layer < model.n:
+        lo, hi, sg, log_off, status = _segment(lam_star, noise, layer)
+        status[~finite] = OUT_OF_RANGE
+        offset = _rowwise_matvec(sg, K_terms)[:, 0] - C
         # the root lies in the half of (lo, hi) on the side of C_w(midpoint) - C;
         # solve from that end p = lo (t = +1) or hi (t = -1) in r = ln|lambda - p|
         D = hi - lo
@@ -172,16 +197,46 @@ def _section(model: AllocationModel, W: np.ndarray, layer: int,
         t = np.where(F_mid > 0.0, 1.0, -1.0)
         near = sg == t[:, None]
         p = np.where(t > 0.0, lo, hi)
+        offset = t * offset
     else:
-        # D = inf: p = lo on layer n, hi on layer 0, where every component vanishes
-        t, p = (1.0, lo) if layer else (-1.0, hi)
-        r = -t * offset / half_b.sum()
+        # D = inf: p = lo on layer n (t = sg_i = +1), hi on layer 0 (-1), where
+        # every component vanishes; t (sg K - C) = K - t C is one number
+        t = sg = 1.0 if layer else -1.0
+        p, log_off = _outer_offsets(lam_star, noise, layer)
+        status = np.where(finite, SOLVED, OUT_OF_RANGE)
+        offset = _rowwise_matvec(np.ones((1, model.n)), K_terms)[0, 0] - t * C
+        r = _minorant_root(log_off, half_b, offset)
         near = log_D = None
+    del lam_star, noise
     L, active = _newton(r, np.flatnonzero(status == SOLVED), log_off,
-                        t * offset, half_b, near, log_D)
+                        offset, half_b, near, log_D)
     V = sg * model.c * np.exp(0.5 * L)
     lam = p + t * np.exp(r)
     return V, lam, _status(V, status, active)
+
+
+def _minorant_root(log_off: np.ndarray, half_b: np.ndarray,
+                   offset: float) -> np.ndarray:
+    """Per row the root of the extremal G's minorant M(r) = sum_i h_i
+    max(ln off_i, r) + offset, h = ``half_b``, by Newton's method on M from
+    the root of its piece with every component in the r regime.  Each step
+    lands on the root of the affine piece that M is at r: sum_i h_i r over
+    the components with ln off_i < r, plus the other terms.  Every piece lies
+    below M, so its root lies above M's, and M's lies above G's; the steps
+    end on the smallest root over the pieces once a row's set of components
+    holds, after n steps at most.  The sums are row sums, so a row's root is
+    the same in every batch.
+    """
+    h = half_b[None, :]
+    r = -offset / half_b.sum()
+    below = log_off < r
+    for _ in range(half_b.size):   # r is a column of the rows' roots from here
+        rest = _rowwise_matvec(np.where(below, 0.0, log_off), h)
+        r = (-offset - rest) / _rowwise_matvec(below, h)
+        below, was = log_off < r, below
+        if not (below != was).any():
+            break
+    return r[:, 0]
 
 
 def _log_offsets(r: np.ndarray, log_off: np.ndarray, near, log_D) -> np.ndarray:
@@ -194,19 +249,19 @@ def _log_offsets(r: np.ndarray, log_off: np.ndarray, near, log_D) -> np.ndarray:
 
 
 def _newton(r: np.ndarray, active: np.ndarray, log_off: np.ndarray,
-            offset: np.ndarray, half_b: np.ndarray, near, log_D):
+            offset, half_b: np.ndarray, near, log_D):
     """The Newton iteration of the module docstring on G(r) = sum_i +-1/2
     |b_i| L_i(r) + offset, + where ``near`` marks a component vanishing at p
-    (None: every component, D = inf, and ``log_D`` None too), for the
-    ``active`` rows.  A row stops on G <= 0, a non-finite G or a step within
-    rounding of r.  Updates r in place; returns L at the final r and the rows
-    still active after NEWTON_MAX_ITER steps.
+    (None: every component, D = inf, ``log_D`` None and ``offset`` one
+    number), for the ``active`` rows.  A row stops on G <= 0, a non-finite G
+    or a step within rounding of r.  Updates r in place; returns L at the
+    final r and the rows still active after NEWTON_MAX_ITER steps.
     """
     half_b = half_b[None, :]
     # the active rows' constants, gathered again only when rows stop
     consts = (log_off, offset, near, log_D)
     if active.size < r.size:
-        consts = tuple(None if c is None else c[active] for c in consts)
+        consts = _take_rows(consts, active)
     r_act = r[active]
     for _ in range(NEWTON_MAX_ITER):
         if active.size == 0:
@@ -217,16 +272,29 @@ def _newton(r: np.ndarray, active: np.ndarray, log_off: np.ndarray,
         G = _rowwise_matvec(signed, half_b)[:, 0] + offset_a
         # dG/dr = sum_i 1/2 |b_i| e^(r - L_i), near and far components alike
         step = G / _rowwise_matvec(np.exp(r_act[:, None] - L), half_b)[:, 0]
-        done = ((G <= 0.0) | ~np.isfinite(G)
-                | (np.abs(step) <= STEP_RTOL * (1.0 + np.abs(r_act))))
+        # G <= 0 (step <= 0), a NaN G or step, or a step within rounding;
+        # G = +inf gives step = +inf
+        done = ~(step > STEP_RTOL * (1.0 + np.abs(r_act))) | (G == np.inf)
         r_act = r_act - step
-        if np.count_nonzero(done):   # a row that stops keeps its last step
+        # a row that stops keeps its last step; no gathers once all have
+        stopped = np.count_nonzero(done)
+        if stopped == active.size:
+            r[active] = r_act
+            active = active[:0]
+            break
+        if stopped:
             r[active[done]] = r_act[done]
             keep = ~done
             active, r_act = active[keep], r_act[keep]
-            consts = tuple(None if c is None else c[keep] for c in consts)
-    r[active] = r_act
+            consts = _take_rows(consts, keep)
+    else:
+        r[active] = r_act
     return _log_offsets(r, log_off, near, log_D), active
+
+
+def _take_rows(consts, rows):
+    """The ``rows`` of each per-row array of ``consts``; None and numbers stay."""
+    return tuple(c[rows] if isinstance(c, np.ndarray) else c for c in consts)
 
 
 def _status(V: np.ndarray, status: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -283,17 +351,20 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
 def solve_rows(model: AllocationModel, W, layer: int, C: float,
                t=None, first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """States and fiber parameters ``(V, lam)`` of the task rows W on the leaf
-    C in a layer-``layer`` orthant, solved by :func:`layer_section`
-    SOLVE_CHUNK_ROWS rows at a time (bounding the working memory).  The first
-    row k it cannot solve raises its typed error (:func:`raise_for_status`),
-    named row ``first_row`` + k, or a sample at time ``t[k]`` when ``t`` is
-    given: W's rows may be a block of a longer batch.
+    C in a layer-``layer`` orthant, solved as :func:`layer_section` solves
+    them, SOLVE_CHUNK_ROWS rows at a time (bounding the working memory).  The
+    first row k it cannot solve raises its typed error
+    (:func:`raise_for_status`), named row ``first_row`` + k, or a sample at
+    time ``t[k]`` when ``t`` is given: W's rows may be a block of a longer
+    batch.
     """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
+    _check_level(model, layer, C)
+    W = _task_matrix(W)
     V, lam = np.empty((W.shape[0], model.n)), np.empty(W.shape[0])
     for lo in range(0, W.shape[0], SOLVE_CHUNK_ROWS):
         rows = slice(lo, lo + SOLVE_CHUNK_ROWS)
-        V[rows], lam[rows], status = layer_section(model, W[rows], layer, C)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            V[rows], lam[rows], status = _section(model, W[rows], layer, C)
         raise_for_status(model, W[rows], layer, status, first_row + lo,
                          None if t is None else t[rows])
     return V, lam
@@ -302,7 +373,5 @@ def solve_rows(model: AllocationModel, W, layer: int, C: float,
 def layer_point(model: AllocationModel, w, layer: int, C: float) -> SectionPoint:
     """The batch-of-one :func:`solve_rows`: the state of task w on the leaf
     C in a layer-``layer`` orthant, whose signature is built when read."""
-    V, lam = solve_rows(model, np.atleast_1d(np.asarray(w, dtype=float))[None, :],
-                        layer, C)
+    V, lam = solve_rows(model, np.atleast_1d(w)[None, :], layer, C)
     return SectionPoint(v=V[0], lam=float(lam[0]), layer=layer, model=model)
-

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberalloc import (actuation, allocator, build_model, classify_orthant,
                         crossing_parameters, errors, extremal_signature,
@@ -386,6 +388,14 @@ class TestStrata:
         assert "1 orthants, 0 reciprocal hinges" in capsys.readouterr().out
 
 
+#: Floats of an invert document: signed zeros, subnormals, numbers near the
+#: ends of the float64 range, infinities and NaN among any others.
+JSON_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+]) | st.floats()
+
+
 class TestInvert:
     def test_extremal_json(self, model2_file, capsys):
         rc = main(["invert", "--model", model2_file, "--w", "2.0", "--C", "0.0"])
@@ -475,6 +485,53 @@ class TestInvert:
                     "min_abs_v": report.min_abs_v})
                 reports += report is not None
         assert reports >= 10
+
+    def test_stdout_is_json_dumps_of_the_document(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # on every layer of n = 2..5, with and without a hinge report
+        monkeypatch.setattr(allocator, "HINGE_MARGIN", 0.5)
+        rng = np.random.default_rng(12)
+        path = tmp_path / "model.json"
+        for n in range(2, 6):
+            model = random_model(rng, n)
+            path.write_text(json.dumps({"A": model.A.tolist()}))
+            for layer in range(n + 1):
+                v = known_state(rng, model, layer)
+                w = actuation(model, v)
+                C = float(log_potential(model, v[None, :])[0])
+                assert main(["invert", "--model", str(path),
+                             "--w=" + ",".join(map(repr, w.tolist())),
+                             f"--C={C!r}", f"--layer={layer}"]) == 0
+                sp, report = allocator.section_inverse(model, w, layer, C)
+                doc = {"w": w.tolist(), "C": C, "v": sp.v.tolist(),
+                       "actuation_check": actuation(model, sp.v).tolist(),
+                       "hinge_proximity": None if report is None else {
+                           "index_pair": list(report.index_pair),
+                           "min_abs_v": report.min_abs_v}}
+                assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.lists(JSON_FLOATS, min_size=1, max_size=7), C=JSON_FLOATS,
+           v=st.lists(JSON_FLOATS, min_size=2, max_size=8),
+           check=st.lists(JSON_FLOATS, min_size=1, max_size=7),
+           hinge=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                       JSON_FLOATS))
+    def test_writer_is_json_dumps(self, w, C, v, check, hinge):
+        doc = {"w": w, "C": C, "v": v, "actuation_check": check,
+               "hinge_proximity": None if hinge is None else {
+                   "index_pair": list(hinge[:2]), "min_abs_v": hinge[2]}}
+        assert cli._invert_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("name, text", [
+        ("big.json", '{"A": [[1, 1, 1], [1, -1, 1' + "0" * 400 + "]]}"),
+        ("deep.json", '{"A": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    ], ids=["integer-beyond-float64", "nested-too-deeply"])
+    def test_unreadable_model_is_validation_error(self, tmp_path, capsys,
+                                                  name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["invert", "--model", str(path), "--w=1,2"]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
 
     def test_transitional_origin_is_solver_error(self, model2_file, capsys):
         rc = main(["invert", "--model", model2_file, "--w", "0.0",

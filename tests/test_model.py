@@ -144,6 +144,18 @@ class TestLoader:
         with pytest.raises(ValueError, match=r"model\.json: .*non-empty list"):
             load_model(path)
 
+    def test_load_integer_beyond_the_float_range(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"A": [[1, 1, 1], [1, -1, 1' + "0" * 400 + "]]}")
+        with pytest.raises(ValueError, match=r"big\.json: .*float64 range"):
+            load_model(path)
+
+    def test_load_json_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"A": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ValueError, match=r"deep\.json: JSON nested too deeply"):
+            load_model(path)
+
     def test_load_ragged(self, tmp_path):
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps({"A": [[1.0, 1.0, 0.0], [1.0, 1.0]]}))

@@ -2,11 +2,14 @@
 every batch."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fiberalloc import layer_section
+from fiberalloc import actuation, layer_section
 from fiberalloc import section
+from fiberalloc.fibers import _rowwise_matvec
 from fiberalloc.section import SOLVED
-from conftest import log_potential, random_model
+from conftest import assert_on_leaf, known_state, log_potential, random_model
 
 
 def assert_logaddexp(a, x, ulps=4):
@@ -88,3 +91,71 @@ class TestBatchInvariance:
             V_rows, lam_rows = section.solve_rows(m, W[solved], layer, C)
             assert np.array_equal(V_rows, V[solved])
             assert np.array_equal(lam_rows, lam[solved])
+
+
+def newton_starts(monkeypatch):
+    """A list that collects, for each extremal section solve, G at the start
+    of its active rows, evaluated as section._newton evaluates it, and the
+    sum of its terms' magnitudes."""
+    starts = []
+    newton = section._newton
+
+    def recording(r, active, log_off, offset, half_b, near, log_D):
+        assert near is None and log_D is None   # D = inf
+        offset_a = offset if np.ndim(offset) == 0 else offset[active]
+        L = section._log_offsets(r[active], log_off[active], None, None)
+        G = _rowwise_matvec(L, half_b[None, :])[:, 0] + offset_a
+        terms = (_rowwise_matvec(np.abs(L), half_b[None, :])[:, 0]
+                 + np.abs(offset_a))
+        starts.append((G, terms))
+        return newton(r, active, log_off, offset, half_b, near, log_D)
+    monkeypatch.setattr(section, "_newton", recording)
+    return starts
+
+
+class TestExtremalStart:
+    """Layers 0 and n start Newton at the root of the minorant sum_i h_i
+    max(ln off_i, r) + offset of G, which lies above G's root: G there is
+    not below zero beyond its rounding error, and few steps remain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           positive=st.booleans(), log10_w=st.floats(-150.0, 150.0))
+    def test_start_lies_above_the_root(self, seed, n, positive, log10_w):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n)
+        layer = n if positive else 0
+        V0 = np.array([known_state(rng, m, layer) for _ in range(8)])
+        V0 *= 10.0 ** (0.5 * log10_w)   # tasks of magnitude about 10**log10_w
+        W = (V0 * np.abs(V0)) @ m.A.T
+        with pytest.MonkeyPatch.context() as mp:
+            starts = newton_starts(mp)
+            for w, C in zip(W, log_potential(m, V0)):
+                V, _, status = layer_section(m, w, layer, float(C))
+                assert status[0] == SOLVED
+                assert_on_leaf(m, V, w, C)
+        for G, terms in starts:
+            assert np.all(G >= -8.0 * section.EPS * terms), (G, terms)
+
+    def test_readme_model_needs_few_steps(self, m3):
+        # the root of the piece with every component in the r regime, the
+        # start before, took 5.3 steps a row on these states
+        rng = np.random.default_rng(24)
+        rows, steps = 0, 0
+        calls = []
+        log_offsets = section._log_offsets
+
+        def counting(r, *args):
+            calls.append(r.shape[0])
+            return log_offsets(r, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(section, "_log_offsets", counting)
+            for layer in (0, m3.n):
+                for _ in range(200):
+                    v = known_state(rng, m3, layer)
+                    w = actuation(m3, v)
+                    calls.clear()
+                    layer_section(m3, w, layer, float(log_potential(m3, v)[0]))
+                    rows += 1
+                    steps += sum(calls[:-1])   # the last call is the final L
+        assert steps / rows <= 4.0
