@@ -59,8 +59,7 @@ def extremal_inverse(model: AllocationModel, w, C: float = 0.0,
     +/- sign(b) strictly, for every finite w including 0 wherever that v is
     representable in float64: the batch-of-one :func:`extremal_inverse_batch`.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    return extremal_inverse_batch(model, w[None, :], C, branch)[0]
+    return extremal_inverse_batch(model, [w], C, branch)[0]
 
 
 def extremal_inverse_batch(model: AllocationModel, W, C: float = 0.0,
@@ -104,10 +103,8 @@ def naive_minimum_norm_inverse(model: AllocationModel, w) -> np.ndarray:
     every batch, as the section solver's rows are.  A task of other than m
     components is a WrongShapeError.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    W = _task_rows(model, np.ascontiguousarray(np.atleast_2d(w)))
-    return untransform(_rowwise_matvec(W, model.A_pinv)).reshape(
-        w.shape[:-1] + (model.n,))
+    V = untransform(_rowwise_matvec(_task_rows(model, w), model.A_pinv))
+    return V if np.ndim(w) == 2 else V[0]
 
 
 def _allocate(model: AllocationModel, W: np.ndarray, allocator: str,
@@ -234,10 +231,8 @@ def smoothness_probe(model: AllocationModel, w0, direction, C: float,
     w0 = 0); the naive baseline's diverge like h^(-1/2) at
     hyperplane-crossing tasks.
     """
-    w0 = np.atleast_1d(np.asarray(w0, dtype=float))
-    d = np.atleast_1d(np.asarray(direction, dtype=float))
-    for x in (w0, d):   # not broadcast against each other or the model
-        _task_rows(model, x[None, :])
+    # not broadcast against each other or the model
+    w0, d = (_task_rows(model, [x])[0] for x in (w0, direction))
     with np.errstate(over="ignore"):   # an overflow is refused below
         norm = np.linalg.norm(d)
     if not 0 < norm < np.inf:

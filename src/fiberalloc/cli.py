@@ -58,7 +58,7 @@ from .fibers import _on_fiber, crossings
 from .model import (AllocationModel, actuation, load_model, transform,
                     untransform)
 from .potential import phi_sum
-from .section import SOLVED, layer_section
+from .section import SOLVED, _check_level, layer_section
 from .strata import (
     classify_orthant,
     graph_to_dot,
@@ -437,6 +437,8 @@ def cmd_foliation(args) -> int:
     W = (mags[None, :, None] * dirs[:, None, :]).reshape(-1, model.m)
     header = [f"v_{i+1}" for i in range(model.n)] + ["C", "orthant"] + \
         [f"w_{j+1}" for j in range(model.m)]
+    for C in args.C:   # every level is checked before a file is written
+        _check_level(model, layer, C)
     for C in args.C:
         V, _, status = layer_section(model, W, layer, C)
         masks = orthant_masks(V)

@@ -58,8 +58,9 @@ def crossings(model: AllocationModel, W) -> tuple[np.ndarray, np.ndarray]:
     their noise bound CROSSING_RTOL * m * (|A_pinv| |w|)_i / |b_i|, a row's
     bit-identical in every batch.  A component is on its hyperplane within
     its crossing's bound; two crossings coincide within the sum of theirs.
-    Raises WrongShapeError unless W has m columns (model._task_rows)."""
-    _task_rows(model, W)
+    W is taken as a 2-D float array in C order (model._task_rows), which
+    raises WrongShapeError unless it has m columns."""
+    W = _task_rows(model, W)
     lam_star = -_rowwise_matvec(W, model.A_pinv) / model.b
     noise = (CROSSING_RTOL * W.shape[1]
              * _rowwise_matvec(np.abs(W), np.abs(model.A_pinv)) / np.abs(model.b))
@@ -71,7 +72,10 @@ def _on_fiber(model: AllocationModel, w: np.ndarray,
     """gamma(w, lambda) in transformed coordinates, u = b o (lambda - lambda*),
     and the mask of its components on their hyperplane: those whose crossing
     lies within its noise bound of lambda, where u_i is 0.  A column of k
-    lambdas gives k rows, each bit-identical to its lambda's own call."""
+    lambdas gives k rows, each bit-identical to its lambda's own call.  A
+    lambda that is not finite is a ValueError."""
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"lambda is not finite: {lam}")
     (lam_star,), (noise,) = crossings(model, w[None, :])
     on = np.abs(lam - lam_star) <= noise
     return np.where(on, 0.0, model.b * (lam - lam_star)), on
@@ -181,11 +185,12 @@ def forward_progress(model: AllocationModel, v) -> float:
 def asymptotic_diagnostics(model: AllocationModel, w, lam_list) -> list[dict]:
     """Distance to the central fiber and tangent angle to c, per lambda.
 
-    ``lam_list`` must be positive increasing; each entry is evaluated on the
-    positive branch and mirrored to the negative one.
+    ``lam_list`` must be finite, positive and increasing; each entry is
+    evaluated on the positive branch and mirrored to the negative one.
     """
     lam_list = np.asarray(lam_list, dtype=float)
-    if np.any(lam_list <= 0) or np.any(np.diff(lam_list) <= 0):
+    if (not np.all(np.isfinite(lam_list)) or np.any(lam_list <= 0)
+            or np.any(np.diff(lam_list) <= 0)):
         raise ValueError("lam_list must be positive and strictly increasing")
     c_hat = model.c / np.linalg.norm(model.c)
     rows = []

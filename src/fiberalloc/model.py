@@ -136,8 +136,11 @@ def load_model(path) -> AllocationModel:
     return build_model(A)
 
 
-def _task_rows(model: AllocationModel, W: np.ndarray) -> np.ndarray:
-    """W; WrongShapeError unless it is 2-D with m columns, a task a row."""
+def _task_rows(model: AllocationModel, W) -> np.ndarray:
+    """W as a 2-D float array in C order, a task a row (einsum sums a row of a
+    C-ordered batch as it sums the row alone); WrongShapeError unless it has
+    m columns."""
+    W = np.atleast_2d(np.ascontiguousarray(W, dtype=float))
     if W.ndim != 2 or W.shape[1] != model.m:
         raise WrongShapeError(f"tasks have shape {W.shape}, expected (rows, {model.m})")
     return W

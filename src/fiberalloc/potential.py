@@ -97,10 +97,16 @@ def potential_near_crossing(model: AllocationModel, trace: FiberTrace,
     so their log terms split exactly as ln|b_i| + log_delta; passing the log
     of the offset keeps the evaluation exact far below the floating-point
     representable range of the offset itself, where the divergence of C_w
-    toward the crossing would otherwise be unobservable.
+    toward the crossing would otherwise be unobservable.  ``crossing_index``
+    indexes the trace's k distinct crossings, 0 through k - 1 (ValueError
+    otherwise).
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
+    k = len(trace.distinct_crossings)
+    if not 0 <= crossing_index < k:
+        raise ValueError(f"crossing {crossing_index} out of range: fiber has "
+                         f"{k} distinct crossings")
     lam_star, idx = trace.distinct_crossings[crossing_index]
     u, vanish = _on_fiber(model, trace.w, lam_star)
     vanish[list(idx)] = True

@@ -43,6 +43,7 @@ and input layout, a batch of one included.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,7 +57,7 @@ from .errors import (
     row_label,
 )
 from .fibers import _rowwise_matvec, crossings
-from .model import AllocationModel
+from .model import AllocationModel, _task_rows
 from .strata import OrthantSignature, orthant_masks, signature_from_mask
 
 #: Newton steps allowed per row of a section solve (a handful suffice).
@@ -65,7 +66,7 @@ EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 SQRT_TINY = math.sqrt(TINY)
 #: A Newton step within this many times 1 + |r| is rounding: the row stops.
 STEP_RTOL = 4.0 * EPS
-#: Rows a batch solve (solve_rows) passes to layer_section at once.
+#: Rows a batch solve (layer_section) passes to the segment solve at once.
 SOLVE_CHUNK_ROWS = 4096
 #: Per-row status of a section solve (see layer_section).
 SOLVED, REFUSED, NO_CONVERGENCE, OUT_OF_RANGE = range(4)
@@ -100,27 +101,34 @@ def layer_section(model: AllocationModel, W, layer: int,
     NEWTON_MAX_ITER steps; OUT_OF_RANGE when the task or its crossings are
     not finite, the state has a zero, subnormal or non-finite
     component, or its largest v_i^2 underflows (max|v_i| < sqrt(TINY)), so
-    that f(v) = w cannot be checked.
-    Raises ValueError for a non-finite C or a layer outside [0, n],
-    WrongShapeError unless W has m columns (see fibers.crossings).
+    that f(v) = w cannot be checked.  The rows are solved SOLVE_CHUNK_ROWS at
+    a time, which bounds the working memory; a row's result is the same in
+    every batch.
+    Raises ValueError for a non-finite C or a layer that is not an integer in
+    [0, n], WrongShapeError unless W has m columns (model._task_rows).
     """
     _check_level(model, layer, C)
+    W = _task_rows(model, W)
+    rows = W.shape[0]
+    V, lam = np.empty((rows, model.n)), np.empty(rows)
+    status = np.empty(rows, dtype=int)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _section(model, _task_matrix(W), layer, C)
+        for lo in range(0, rows, SOLVE_CHUNK_ROWS):
+            chunk = slice(lo, lo + SOLVE_CHUNK_ROWS)
+            V[chunk], lam[chunk], status[chunk] = _section(model, W[chunk],
+                                                           layer, C)
+    return V, lam, status
 
 
 def _check_level(model: AllocationModel, layer: int, C: float) -> None:
-    """The ValueErrors of :func:`layer_section` for C and the layer."""
+    """The ValueErrors of :func:`layer_section` for C and the layer, which
+    must be an integer (not a bool) in [0, n]."""
     if not math.isfinite(C):
         raise ValueError("target potential level must be finite")
+    if isinstance(layer, bool) or not isinstance(layer, numbers.Integral):
+        raise ValueError(f"layer must be an integer, got {layer!r}")
     if not 0 <= layer <= model.n:
         raise ValueError(f"layer must lie in [0, {model.n}]")
-
-
-def _task_matrix(W) -> np.ndarray:
-    """W as a 2-D float array in C order: einsum sums a row of a C-ordered
-    batch as it sums the row alone."""
-    return np.atleast_2d(np.ascontiguousarray(W, dtype=float))
 
 
 def _segment(lam_star: np.ndarray, noise: np.ndarray, layer: int):
@@ -178,7 +186,8 @@ def _logaddexp(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _section(model: AllocationModel, W: np.ndarray, layer: int,
              C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The segment solve of the module docstring, for layer_section, on a
-    C-ordered float W; the set-up arrays are freed before the Newton steps."""
+    chunk of its C-ordered float W; the set-up arrays are freed before the
+    Newton steps."""
     lam_star, noise = crossings(model, W)
     finite = _across_columns(np.logical_and, np.isfinite(lam_star + noise))
     half_b = 0.5 * np.abs(model.b)
@@ -307,12 +316,13 @@ def _status(V: np.ndarray, status: np.ndarray, active: np.ndarray) -> np.ndarray
     return status
 
 
-def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
+def raise_for_status(model: AllocationModel, W, layer: int,
                      status: np.ndarray, first_row: int = 0, t=None) -> None:
     """Raise the typed error of the first row of W whose status is not SOLVED.
 
-    It names the row ``first_row`` + its index k in W, a lifted sample at
-    time ``t[k]`` when ``t``, the times of W's rows, is given:
+    W is the task rows as :func:`layer_section` takes them.  The error names
+    the row ``first_row`` + its index k in W, a lifted sample at time
+    ``t[k]`` when ``t``, the times of W's rows, is given:
     OriginExcludedError for a REFUSED zero task, NonGenericSegmentError for
     another REFUSED row, else SectionSolveError (ExtremalSolveError on layers
     0 and n), whose reason names a non-finite task, overflowed crossings or
@@ -320,6 +330,7 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
     """
     if not status.any():   # SOLVED is 0
         return
+    W = _task_rows(model, W)
     k = int(np.flatnonzero(status)[0])
     row = first_row + k
     t_row = None if t is None else float(t[k])
@@ -351,27 +362,19 @@ def raise_for_status(model: AllocationModel, W: np.ndarray, layer: int,
 def solve_rows(model: AllocationModel, W, layer: int, C: float,
                t=None, first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """States and fiber parameters ``(V, lam)`` of the task rows W on the leaf
-    C in a layer-``layer`` orthant, solved as :func:`layer_section` solves
-    them, SOLVE_CHUNK_ROWS rows at a time (bounding the working memory).  The
-    first row k it cannot solve raises its typed error
-    (:func:`raise_for_status`), named row ``first_row`` + k, or a sample at
+    C in a layer-``layer`` orthant: :func:`layer_section`, then
+    :func:`raise_for_status` over the whole batch.  The first row k it cannot
+    solve raises its typed error, named row ``first_row`` + k, or a sample at
     time ``t[k]`` when ``t`` is given: W's rows may be a block of a longer
     batch.
     """
-    _check_level(model, layer, C)
-    W = _task_matrix(W)
-    V, lam = np.empty((W.shape[0], model.n)), np.empty(W.shape[0])
-    for lo in range(0, W.shape[0], SOLVE_CHUNK_ROWS):
-        rows = slice(lo, lo + SOLVE_CHUNK_ROWS)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            V[rows], lam[rows], status = _section(model, W[rows], layer, C)
-        raise_for_status(model, W[rows], layer, status, first_row + lo,
-                         None if t is None else t[rows])
+    V, lam, status = layer_section(model, W, layer, C)
+    raise_for_status(model, W, layer, status, first_row, t)
     return V, lam
 
 
 def layer_point(model: AllocationModel, w, layer: int, C: float) -> SectionPoint:
     """The batch-of-one :func:`solve_rows`: the state of task w on the leaf
     C in a layer-``layer`` orthant, whose signature is built when read."""
-    V, lam = solve_rows(model, np.atleast_1d(w)[None, :], layer, C)
+    V, lam = solve_rows(model, [w], layer, C)
     return SectionPoint(v=V[0], lam=float(lam[0]), layer=layer, model=model)

@@ -352,6 +352,24 @@ class TestBoundedSectionSolve:
         with pytest.raises(ValueError):
             layer_section(m3, [[1.0, 0.5]], layer, C)
 
+    @pytest.mark.parametrize("layer", [True, 1.5, np.int64(1)],
+                             ids=["bool", "float", "int64"])
+    @pytest.mark.parametrize("call", [
+        lambda m, layer: layer_section(m, [[1.0, 0.5]], layer, 0.0),
+        lambda m, layer: section.solve_rows(m, [[1.0, 0.5]], layer, 0.0),
+        lambda m, layer: section_inverse(m, [1.0, 0.5], layer),
+        lambda m, layer: lift_trajectory(m, [0.0, 1.0], [[1.0, 0.5], [1.0, 0.6]],
+                                         "section", layer=layer),
+    ], ids=["layer_section", "solve_rows", "section_inverse", "lift_section"])
+    def test_layer_must_be_an_integer(self, m3, call, layer):
+        # a bool or a float layer would fail inside einsum or as a bare IndexError
+        if isinstance(layer, np.integer):
+            call(m3, layer)
+            return
+        with pytest.raises(ValueError,
+                           match=f"layer must be an integer, got {layer}"):
+            call(m3, layer)
+
     def test_state_whose_squares_underflow_is_out_of_range(self, m3):
         # a subnormal task: on layers 1 and 2 max|v_i| is about 1e-160, so
         # every v_i^2 underflows and f(v) = w cannot be checked; the state was

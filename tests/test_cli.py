@@ -322,6 +322,22 @@ class TestFoliation:
             "not finite\n")
         assert not out.exists()
 
+    def test_bad_later_level_writes_nothing(self, model_file, tmp_path,
+                                            capsys):
+        # every --C is checked before the first file is written, or the file
+        # of --C 0 would be written before --C nan is refused
+        argv = ["foliation", "--model", model_file, "--layer", "3", "--C", "0",
+                "--C", "nan", "--grid", "4", "--out"]
+        out = tmp_path / "fol"
+        assert main(argv + [str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "validation error: target potential level must be finite\n"
+        assert not out.exists()
+        old = tmp_path / "foliation_C0.csv"
+        old.write_bytes(b"old")
+        assert main(argv + [str(tmp_path)]) == 1
+        assert old.read_bytes() == b"old"
+
     @pytest.mark.parametrize("state, err", [(1.0, "1"), (np.nan, "nan")],
                              ids=["off-the-leaf", "nan"])
     def test_failed_self_check_is_solver_error(self, model_file, tmp_path,
@@ -713,6 +729,44 @@ class TestLift:
 #: the helper alike
 SPECIAL_VALUES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1e-310,
                   2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
+
+
+@pytest.mark.parametrize("command", ["fibers", "foliation", "lift"])
+def test_an_output_csv_is_replaced_not_written(model2_file, tmp_path,
+                                               command):
+    # a hard link to the old file keeps its bytes, a symlink at the output
+    # path is replaced while its target keeps its bytes, and the new file
+    # gets the default mode
+    flags, name = {
+        "fibers": (["--w=2"], "fiber_0.csv"),
+        "foliation": (["--layer=2", "--C=0.5"], "foliation_C0.5.csv"),
+        "lift": (["--trajectory", write_trajectory(tmp_path)],
+                 "lift_extremal.csv"),
+    }[command]
+    out = tmp_path / "out"
+    path = out / name
+
+    def run():
+        assert main([command, "--model", model2_file, "--out", str(out),
+                     *flags]) == 0
+        return path.read_bytes()
+
+    new = run()
+    umask = os.umask(0)
+    os.umask(umask)
+    path.write_bytes(b"old")
+    path.chmod(0o600)
+    os.link(path, tmp_path / "link")
+    assert run() == new
+    assert (tmp_path / "link").read_bytes() == b"old"
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    target = tmp_path / "target"
+    target.write_bytes(b"target")
+    path.unlink()
+    path.symlink_to(target)
+    assert run() == new
+    assert not path.is_symlink()
+    assert target.read_bytes() == b"target"
 
 
 class TestCsvHelper:

@@ -110,7 +110,7 @@ def test_state_of_the_wrong_shape_is_refused(m3, call, v):
 
 
 @pytest.mark.parametrize("lam_list", [[2.0, 1.0], [1.0, 1.0], [-1.0, 2.0],
-                                      [0.0]])
+                                      [0.0], [1.0, math.nan], [1.0, math.inf]])
 def test_asymptotic_diagnostics_refuses_a_bad_lambda_list(m2, lam_list):
     with pytest.raises(ValueError, match="lam_list must be positive and "
                                          "strictly increasing"):
@@ -118,19 +118,25 @@ def test_asymptotic_diagnostics_refuses_a_bad_lambda_list(m2, lam_list):
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
-@pytest.mark.parametrize("call", [
-    lambda m, w: fiber_point(m, w, 0.5),
-    lambda m, w: crossing_parameters(m, w),
-    lambda m, w: potential_along_fiber(m, w, 0.5),
-    lambda m, w: potential_slope(m, w, 0.5),
-    lambda m, w: section_intersection(m, w, 0, 0.0),
+@pytest.mark.parametrize("call, name", [
+    (lambda m, x: fiber_point(m, [1.0, x], 0.5), "task component 1"),
+    (lambda m, x: crossing_parameters(m, [1.0, x]), "task component 1"),
+    (lambda m, x: potential_along_fiber(m, [1.0, x], 0.5), "task component 1"),
+    (lambda m, x: potential_slope(m, [1.0, x], 0.5), "task component 1"),
+    (lambda m, x: section_intersection(m, [1.0, x], 0, 0.0), "task component 1"),
+    (lambda m, x: fiber_point(m, [1.0, 2.0], x), "lambda"),
+    (lambda m, x: potential_along_fiber(m, [1.0, 2.0], x), "lambda"),
+    (lambda m, x: potential_slope(m, [1.0, 2.0], x), "lambda"),
 ], ids=["fiber_point", "crossing_parameters", "potential_along_fiber",
-        "potential_slope", "section_intersection"])
-def test_non_finite_task_is_refused(m3, call, value):
+        "potential_slope", "section_intersection", "fiber_point-lambda",
+        "potential_along_fiber-lambda", "potential_slope-lambda"])
+def test_non_finite_task_is_refused(m3, call, name, value):
     # a NaN task would give a NaN trace marked generic, an infinite one a
-    # -inf potential with every component on its hyperplane
-    with pytest.raises(ValueError, match=f"task component 1 is not finite: {value}"):
-        call(m3, [1.0, value])
+    # -inf potential with every component on its hyperplane; an infinite
+    # lambda would give an infinite potential with no boundary index, a NaN
+    # one a NaN point
+    with pytest.raises(ValueError, match=f"{name} is not finite: {value}"):
+        call(m3, value)
 
 
 class TestTangentSpace:

@@ -339,7 +339,14 @@ class TestSectionIntersection:
      NonGenericSegmentError, "segment -1 out of range: fiber has 4 segments"),
     (lambda m: section_intersection(m, [4.0, -3.0], 99, 0.0),
      NonGenericSegmentError, "segment 99 out of range: fiber has 4 segments"),
-], ids=["side", "segment-below", "segment-above"])
+    (lambda m: potential_near_crossing(m, crossing_parameters(m, [4.0, -3.0]),
+                                       -1, "above", -10.0),
+     ValueError, "crossing -1 out of range: fiber has 3 distinct crossings"),
+    (lambda m: potential_near_crossing(m, crossing_parameters(m, [4.0, -3.0]),
+                                       3, "above", -10.0),
+     ValueError, "crossing 3 out of range: fiber has 3 distinct crossings"),
+], ids=["side", "segment-below", "segment-above", "crossing-below",
+        "crossing-above"])
 def test_out_of_range_arguments_are_refused(m3, call, error, match):
     with pytest.raises(error, match=match):
         call(m3)
