@@ -3,7 +3,12 @@
 Every subcommand takes --model (JSON file with the allocation matrix).
 fibers, foliation, strata and lift write files and take --out (output
 directory); fibers, foliation and lift also take --seed, recorded in every
-output header (foliation draws its task directions from it).  CSV output
+output header (foliation draws its task directions from it).  Each option is
+declared once, in COMMANDS, and a request's argv is read from that table
+without argparse (:func:`_read_argv`).  argparse is imported, and its parser
+built from the table (:func:`build_parser`), only for help, --version, a usage
+error or an argv the reader cannot be sure of, so its help and errors are
+unchanged.  CSV output
 uses a header row and 17 significant digits so doubles round-trip losslessly.
 Rows go from file to text in blocks of BLOCK_ROWS, each formatted with one
 %-format.  fibers and foliation format every block in process.  When more
@@ -34,7 +39,6 @@ included, is a solver error.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -46,6 +50,8 @@ from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -352,12 +358,20 @@ def _replacing(path: Path, head: str):
         raise
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    """A vector written "1,2" or "1;2"; an empty entry is a ValueError."""
+def _parse_vector(text: str, option: str) -> np.ndarray:
+    """The vector of the option ``option``, written "1,2" or "1;2"; an empty
+    entry, or one that is not a number, is a ValueError."""
     tokens = text.replace(";", ",").split(",")
     if "" in tokens:
         raise ValueError(f"empty entry in the vector {text!r}")
-    return np.array([float(tok) for tok in tokens])
+    values = []
+    for k, tok in enumerate(tokens, 1):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{option} {text!r}: entry {k} is {tok!r}, not "
+                             "a number") from None
+    return np.array(values)
 
 
 def cmd_validate(args) -> int:
@@ -375,7 +389,7 @@ def cmd_validate(args) -> int:
 def cmd_fibers(args) -> int:
     model = load_model(args.model)
     out = Path(args.out)
-    tasks = [_parse_vector(tok) for tok in args.w]
+    tasks = [_parse_vector(tok, "--w") for tok in args.w]
     if not -np.inf < args.lam_min <= args.lam_max < np.inf:
         raise ValueError(f"--lam-min={args.lam_min:g} and --lam-max="
                          f"{args.lam_max:g} must be finite, with --lam-min <= "
@@ -415,7 +429,7 @@ def cmd_foliation(args) -> int:
     model = load_model(args.model)
     out = Path(args.out)
     rng = np.random.default_rng(args.seed)
-    mags = _parse_vector(args.magnitudes)
+    mags = _parse_vector(args.magnitudes, "--magnitudes")
     bad = np.flatnonzero(~np.isfinite(mags))
     if bad.size:
         raise ValueError(f"--magnitudes {args.magnitudes!r}: entry "
@@ -481,7 +495,7 @@ def _layer(model: AllocationModel, args) -> int | None:
 
 def cmd_invert(args) -> int:
     model = load_model(args.model)
-    w = _parse_vector(args.w)
+    w = _parse_vector(args.w, "--w")
     layer = _layer(model, args)
     sp, report = section_inverse(model, w, model.n if layer is None else layer,
                                  args.C)
@@ -639,106 +653,143 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def _validate_args(p) -> None:
-    p.set_defaults(func=cmd_validate)
+class Option(NamedTuple):
+    """One option of a subcommand, declared as argparse's ``add_argument``
+    takes it; its dest is the flag's, as argparse derives it."""
+    flag: str
+    type: Callable | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    append: bool = False
+    help: str | None = None
+    #: "optional" or "required": the option belongs to its subcommand's one
+    #: mutually exclusive group, which may or must be given; None outside it
+    group: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _fibers_args(p) -> None:
-    p.add_argument("--w", action="append", required=True,
-                   help="task vector, comma-separated (repeatable)")
-    p.add_argument("--lam-min", type=float, default=-10.0)
-    p.add_argument("--lam-max", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=400)
-    p.set_defaults(func=cmd_fibers)
+_MODEL = Option("--model", required=True, help="JSON model file")
+_OUT = Option("--out", default=".", help="output directory")
+_SEED = Option("--seed", int, 0)
+#: --layer or --branch, read by :func:`_layer`
+_LAYER_OR_BRANCH = (
+    Option("--layer", int, group="optional"),
+    Option("--branch", choices=("positive", "negative"), group="optional"),
+)
 
-
-def _foliation_args(p) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--layer", type=int)
-    group.add_argument("--orthant", help='signature like "+,-,+"')
-    p.add_argument("--C", type=float, action="append", required=True)
-    p.add_argument("--grid", type=int, default=64,
-                   help="number of task directions")
-    p.add_argument("--magnitudes", default="0.25,0.5,1,2,4")
-    p.set_defaults(func=cmd_foliation)
-
-
-def _strata_args(p) -> None:
-    p.add_argument("--layer", type=int, required=True)
-    p.set_defaults(func=cmd_strata)
-
-
-def _layer_args(p) -> None:
-    """--layer or --branch, read by :func:`_layer`."""
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--layer", type=int, default=None)
-    group.add_argument("--branch", choices=["positive", "negative"])
-
-
-def _invert_args(p) -> None:
-    p.add_argument("--w", required=True)
-    p.add_argument("--C", type=float, default=0.0)
-    _layer_args(p)
-    p.set_defaults(func=cmd_invert)
-
-
-def _lift_args(p) -> None:
-    p.add_argument("--trajectory", required=True,
-                   help="CSV with header t, w_1..w_m")
-    p.add_argument("--allocator", choices=["extremal", "section", "naive"],
-                   default="extremal")
-    p.add_argument("--C", type=float, default=0.0)
-    _layer_args(p)
-    p.set_defaults(func=cmd_lift)
-
-
-#: subcommand -> (help text, function adding its own arguments and handler).
-#: The handler is read from the module when a parser is built, so a wrapper
-#: put in place of ``cmd_*`` is the one that runs.
+#: subcommand -> (help text, its options in the order help lists them).  Every
+#: subcommand takes --model, and --out and --seed where it writes files or
+#: draws from the seed.  ``cmd_<subcommand>`` handles it, read from the module
+#: when a request is read or a parser built, so a wrapper put in its place is
+#: the one that runs.
 COMMANDS = {
-    "validate": ("check model assumptions", _validate_args),
-    "fibers": ("sample fiber polylines to CSV", _fibers_args),
-    "foliation": ("sample potential level sets to CSV", _foliation_args),
-    "strata": ("export layer graph (JSON + DOT)", _strata_args),
-    "invert": ("invert a single task", _invert_args),
-    "lift": ("lift a task trajectory CSV", _lift_args),
+    "validate": ("check model assumptions", (_MODEL,)),
+    "fibers": ("sample fiber polylines to CSV", (
+        _MODEL, _OUT, _SEED,
+        Option("--w", required=True, append=True,
+               help="task vector, comma-separated (repeatable)"),
+        Option("--lam-min", float, -10.0),
+        Option("--lam-max", float, 10.0),
+        Option("--samples", int, 400),
+    )),
+    "foliation": ("sample potential level sets to CSV", (
+        _MODEL, _OUT, _SEED,
+        Option("--layer", int, group="required"),
+        Option("--orthant", help='signature like "+,-,+"', group="required"),
+        Option("--C", float, required=True, append=True),
+        Option("--grid", int, 64, help="number of task directions"),
+        Option("--magnitudes", default="0.25,0.5,1,2,4"),
+    )),
+    "strata": ("export layer graph (JSON + DOT)", (
+        _MODEL, _OUT, Option("--layer", int, required=True),
+    )),
+    "invert": ("invert a single task", (
+        _MODEL, Option("--w", required=True), Option("--C", float, 0.0),
+        *_LAYER_OR_BRANCH,
+    )),
+    "lift": ("lift a task trajectory CSV", (
+        _MODEL, _OUT, _SEED,
+        Option("--trajectory", required=True,
+               help="CSV with header t, w_1..w_m"),
+        Option("--allocator", choices=("extremal", "section", "naive"),
+               default="extremal"),
+        Option("--C", float, 0.0),
+        *_LAYER_OR_BRANCH,
+    )),
 }
 
 
-def _add_command_args(p: argparse.ArgumentParser, name: str) -> None:
-    """--model, --out and --seed where ``name`` reads them, then its own."""
-    p.add_argument("--model", required=True, help="JSON model file")
-    if name in ("fibers", "foliation", "strata", "lift"):
-        p.add_argument("--out", default=".", help="output directory")
-    if name in ("fibers", "foliation", "lift"):
-        p.add_argument("--seed", type=int, default=0)
-    COMMANDS[name][1](p)
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The arguments ``build_parser().parse_args(argv)`` returns, ``func``
+    included, as a namespace with the same attributes, read from COMMANDS
+    without argparse; None wherever that is not certain, and argparse is
+    left to parse ``argv``.
+
+    That is: a first token that is not a subcommand; a token that is not
+    exactly one of the subcommand's flags, alone or before "=" (so no
+    abbreviation, -h, --version or --); a value given as a token of its own
+    that starts with "-", or that is missing; a value of "--" given after "="
+    (argparse 3.10-3.12 drops it, 3.13 keeps it); a value its type or its
+    choices refuse; a missing required option; and two options of an
+    exclusive group given, or neither of a required one.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {opt.flag: opt for opt in COMMANDS[argv[0]][1]}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        opt = options.get(flag)
+        if opt is None:
+            return None
+        if not eq:   # a missing value reads as "-", which is refused
+            value = next(tokens, "-")
+        if value.startswith("-") and (not eq or value == "--"):
+            return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except ValueError:
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        if opt.append:
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    group = [opt for opt in options.values() if opt.group is not None]
+    chosen = [opt for opt in group if opt.flag in given]
+    if len(chosen) > 1 or not chosen and group and group[0].group == "required":
+        return None
+    if any(opt.required and opt.flag not in given for opt in options.values()):
+        return None
+    return SimpleNamespace(
+        command=argv[0], func=globals()[f"cmd_{argv[0]}"],
+        **{opt.dest: given.get(flag, opt.default)
+           for flag, opt in options.items()})
 
 
 def _help_formatter():
     """argparse's HelpFormatter at the width it would read for itself, read
     once here: argparse makes a formatter in most add_argument calls, and
     each one reads the terminal size."""
+    import argparse
     return partial(argparse.HelpFormatter,
                    width=shutil.get_terminal_size().columns - 2)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or ``command``'s parser alone.
-
-    ``command``'s parser is the full parser's subparser for it: it parses the
-    arguments after the command name into the same namespace, less
-    ``command``, and prints the same help and errors.  The full parser serves
-    help, --version, a missing or unknown command, and arguments a command
-    does not know.  Every parser built in one call formats its help at the
-    terminal width read once, at the start of the call.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built from COMMANDS, for what :func:`_read_argv` leaves
+    to it: help, --version, usage errors and the argv it cannot be sure of.
+    Every parser and subparser formats its help at the terminal width read
+    once, at the start of the build."""
+    import argparse
     formatter = _help_formatter()
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"fiberalloc {command}",
-                                         formatter_class=formatter)
-        _add_command_args(parser, command)
-        return parser
     parser = argparse.ArgumentParser(
         prog="fiberalloc",
         description="Fiber geometry and singularity-free allocation for "
@@ -746,21 +797,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         formatter_class=formatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        _add_command_args(sub.add_parser(name, help=help_text,
-                                         formatter_class=formatter), name)
+    for name, (help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        group = None
+        for opt in options:
+            if opt.group is not None and group is None:
+                group = p.add_mutually_exclusive_group(
+                    required=opt.group == "required")
+            (p if opt.group is None else group).add_argument(
+                opt.flag, type=opt.type, default=opt.default,
+                required=opt.required, choices=opt.choices,
+                action="append" if opt.append else "store", help=opt.help)
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:   # as the full parser reports what its subparser left
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    else:
-        args = build_parser().parse_args(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:

@@ -1386,6 +1386,49 @@ class TestHelperFrames:
         assert list(tmp_path.iterdir()) == []
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(cli.__file__).resolve().parents[1]
+#: every flag of every subcommand, and tokens near them that the reader
+#: leaves to argparse: abbreviations, help, the version, "--" and strays
+READER_FLAGS = sorted({opt.flag for _, options in COMMANDS.values()
+                       for opt in options})
+NEAR_FLAGS = [flag[:-1] for flag in READER_FLAGS if len(flag) > 3] + [
+    "-h", "--help", "--version", "--vers", "--", "-", "--bogus", "stray", ""]
+#: values in argparse's and Python's number forms, choices and near misses
+READER_VALUES = ["1", "3", "-1", "+3", "1_0", " 7", "2.5", "nan", "-inf",
+                 "1e3", "0x1", "", "--", "-", "-h", "x", "1,2", "1;x",
+                 "positive", "negative", "extremal", "naive", "bogus", "+,-,+"]
+#: options that make each subcommand's argv complete
+READER_BASES = {
+    "validate": [["--model", "m.json"]],
+    "fibers": [["--model", "m.json"], ["--w", "1,2"]],
+    "foliation": [["--model", "m.json"], ["--layer", "1"], ["--C", "0"]],
+    "strata": [["--model", "m.json"], ["--layer", "2"]],
+    "invert": [["--model", "m.json"], ["--w", "1,2"]],
+    "lift": [["--model", "m.json"], ["--trajectory", "t.csv"]],
+}
+
+
+@st.composite
+def reader_argvs(draw):
+    """An argv of a subcommand (or of a near miss of one): its complete
+    options or not, and flags of its own, of others and near misses, each
+    with a value as a token of its own, after "=" or none, in any order."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus", "-h", "--version"]))
+    own = [opt.flag for opt in COMMANDS.get(command, ("", ()))[1]] or ["-h"]
+    flag = st.one_of(st.sampled_from(own),
+                     st.sampled_from(READER_FLAGS + NEAR_FLAGS))
+    value = st.sampled_from(READER_VALUES)
+    item = st.one_of(st.tuples(flag, value).map(list),
+                     st.tuples(flag, value).map(lambda fv: ["=".join(fv)]),
+                     flag.map(lambda f: [f]), value.map(lambda v: [v]))
+    items = draw(st.lists(item, max_size=5))
+    if command in COMMANDS and draw(st.booleans()):
+        items += READER_BASES[command]
+    items = draw(st.permutations(items))
+    return [command] + [token for item in items for token in item]
+
+
 #: argv that exit inside argparse, with help, a version or a usage error
 PARSER_EXITS = [
     [], ["-h"], ["--version"], ["--vers"], ["bogus"], ["--"], ["-h", "invert"],
@@ -1479,23 +1522,26 @@ class TestParser:
         def helps():
             full = build_parser()
             return [full.format_help()] + [
-                text for name in COMMANDS for text in (
-                    build_parser(name).format_help(),
-                    run_cli(full.parse_args, [name, "--help"], capsys)[1])]
+                run_cli(full.parse_args, [name, "--help"], capsys)[1]
+                for name in COMMANDS]
         ours = helps()
         monkeypatch.setattr(cli, "_help_formatter",
                             lambda: argparse.HelpFormatter)
         assert ours == helps()
 
     @pytest.mark.parametrize("command", [None, *COMMANDS])
-    def test_a_build_reads_the_terminal_width_once(self, command, monkeypatch):
+    def test_a_build_reads_the_terminal_width_once(self, command, monkeypatch,
+                                                   capsys):
         reads, size = [], shutil.get_terminal_size
 
         def counted(*args):
             reads.append(args)
             return size(*args)
         monkeypatch.setattr(shutil, "get_terminal_size", counted)
-        build_parser(command).format_help()
+        if command is None:
+            build_parser().format_help()
+        else:   # the subcommand's help, printed by its subparser
+            run_cli(build_parser().parse_args, [command, "-h"], capsys)
         assert len(reads) == 1
 
     @pytest.mark.parametrize("argv", [
@@ -1507,6 +1553,52 @@ class TestParser:
         ["lift", "--model", "m.json", "--trajectory", "t.csv", "--out", "o"],
     ], ids=lambda argv: argv[0])
     def test_one_command_parser_gives_the_full_namespace(self, argv):
-        one = build_parser(argv[0]).parse_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
+        # the reader, which reads the one command's options from COMMANDS
+        one = cli._read_argv(argv)
         assert vars(one) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("workload",
+                             ["invert_stream", "foliation", "lift_extremal"])
+    def test_the_reader_reads_every_benchmark_request(self, workload, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        wl = import_module("workloads").WORKLOADS[workload](
+            1, tmp_path, tmp_path / "out")
+        for argv in [wl.warmup.argv] + [r.argv for r in wl.requests]:
+            args = cli._read_argv(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=reader_argvs())
+    def test_the_reader_agrees_with_argparse(self, argv):
+        args = cli._read_argv(argv)
+        if args is not None:   # a NaN is never == itself, but its repr is
+            assert (repr(sorted(vars(args).items())) ==
+                    repr(sorted(vars(build_parser().parse_args(argv)).items())))
+
+    def test_an_invert_does_not_import_argparse(self, model_file):
+        # in a new interpreter: pytest imports argparse itself
+        code = ("import sys\n"
+                "from fiberalloc.cli import main\n"
+                "rc = main(['invert', '--model', sys.argv[1], '--w=2,1'])\n"
+                "print(rc, 'argparse' in sys.modules, file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code, model_file],
+                              env=env, capture_output=True, text=True)
+        assert proc.stderr == "0 False\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["invert", "--w=1,x"], "--w"),
+    (["fibers", "--w", "1,x"], "--w"),
+    (["foliation", "--layer", "3", "--C", "0", "--magnitudes", "1,x"],
+     "--magnitudes"),
+], ids=["invert", "fibers", "foliation"])
+def test_a_vector_option_names_its_entry_that_is_not_a_number(
+        argv, option, model_file, tmp_path, capsys):
+    out = [] if argv[0] == "invert" else ["--out", str(tmp_path / "out")]
+    assert main([*argv, "--model", model_file, *out]) == 1
+    assert capsys.readouterr().err == \
+        f"validation error: {option} '1,x': entry 2 is 'x', not a number\n"
+    assert not (tmp_path / "out").exists()
