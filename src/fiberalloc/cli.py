@@ -8,8 +8,8 @@ declared once, in COMMANDS, and a request's argv is read from that table
 without argparse (:func:`_read_argv`).  argparse is imported, and its parser
 built from the table (:func:`build_parser`), only for help, --version, a usage
 error or an argv the reader cannot be sure of, so its help and errors are
-unchanged.  CSV output
-uses a header row and 17 significant digits so doubles round-trip losslessly.
+unchanged.  CSV output uses a header row and 17 significant digits so
+doubles round-trip losslessly.
 Rows go from file to text in blocks of BLOCK_ROWS, each formatted with one
 %-format.  fibers and foliation format every block in process.  When more
 than one CPU is available, a long lift shares its blocks with a
