@@ -1436,7 +1436,7 @@ PARSER_EXITS = [
     ["invert"], ["invert", "--model", "m.json", "--w", "1", "--bogus"],
     ["invert", "--model", "m.json", "--w", "1", "stray"],
     ["strata", "--layer", "x"],
-    # errors after the command name, where main's one-command parser runs
+    # errors after the command name, which the reader leaves to argparse
     ["invert", "--version"],
     ["invert", "--model", "m.json", "--w", "1", "--", "x"],
     ["invert", "--mod", "m.json", "--w=1", "--bogus"],
@@ -1485,7 +1485,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", PARSER_EXITS,
                              ids=lambda argv: " ".join(argv) or "no-args")
     def test_main_exits_as_the_full_parser(self, argv, capsys, monkeypatch):
-        # main builds only argv[0]'s subcommand when argv[0] names one
+        # the reader leaves each of these to the full parser
         monkeypatch.setenv("COLUMNS", "80")
         full = run_cli(lambda a: build_parser().parse_args(a), argv, capsys)
         assert run_cli(main, argv, capsys) == full
